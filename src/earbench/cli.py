@@ -17,6 +17,7 @@ import numpy as np
 from . import datasets, probe, report, synth
 from .embeddings import ingest_embeddings, read_embeddings_file, write_embeddings_file
 from .features import FEATURE_KINDS, feature_vector
+from .parallel import parallel_map
 
 RESULT_COLUMNS = [
     "concept",
@@ -111,14 +112,7 @@ def cmd_extract(args):
     concept_dir = Path(args.data) / args.concept
     records = datasets.read_manifest(concept_dir / "manifest.jsonl")
     jobs = [(str(concept_dir / r["wav_path"]), args.feature) for r in records]
-    if args.workers and args.workers > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(args.workers) as pool:
-            rows = pool.map(_extract_one, jobs, chunksize=8)
-    else:
-        rows = [_extract_one(job) for job in jobs]
+    rows = parallel_map(_extract_one, jobs, args.workers or 1)
     matrix = np.stack(rows)
     write_embeddings_file(args.out, [r["id"] for r in records], matrix)
     print(f"{args.concept}/{args.feature}: {matrix.shape[0]} vectors, dim {matrix.shape[1]} -> {args.out}")

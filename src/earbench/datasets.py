@@ -21,6 +21,7 @@ import numpy as np
 
 from . import midi as smf
 from . import synth, theory
+from .parallel import parallel_map
 from .seeds import derive_seed
 
 CONCEPTS = ["tempo", "time_signatures", "notes", "intervals", "scales", "chords", "progressions"]
@@ -486,15 +487,5 @@ def generate_concept(
         return records
     (concept_dir / "midi").mkdir(exist_ok=True)
     (concept_dir / "audio").mkdir(exist_ok=True)
-    jobs = [(str(concept_dir), r) for r in records]
-    if workers > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            for _ in pool.imap_unordered(_write_one, jobs, chunksize=16):
-                pass
-    else:
-        for job in jobs:
-            _write_one(job)
+    parallel_map(_write_one, [(str(concept_dir), r) for r in records], workers)
     return records

@@ -15,6 +15,7 @@ rest of the pipeline.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ def read_embeddings(data: bytes) -> tuple[list[str], np.ndarray]:
         ids.append(data[pos : pos + id_len].decode("utf-8"))
         pos += id_len
     if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})[:10]
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)[:10]
         raise EmbeddingFormatError(f"duplicate ids: {dupes}")
     payload = count * dim * 4
     if len(data) < pos + payload:
@@ -84,7 +85,8 @@ def ingest_embeddings(ids: list[str], matrix: np.ndarray, records: list[dict]) -
     by_id = {sid: row for sid, row in zip(ids, matrix)}
     manifest_ids = [r["id"] for r in records]
     missing = [i for i in manifest_ids if i not in by_id]
-    extra = [i for i in ids if i not in set(manifest_ids)]
+    known = set(manifest_ids)
+    extra = [i for i in ids if i not in known]
     if missing or extra:
         raise EmbeddingFormatError(
             f"embedding ids do not join the manifest 1:1; "

@@ -1,10 +1,10 @@
 """Spectral features: FFT/STFT, mel spectrogram, MFCC, chroma, time aggregation.
 
-The transform stack is self-contained (radix-2 FFT, explicit DCT-II and
-filterbank matrices) so feature bytes are reproducible from this module
-alone. Analysis parameters follow common 22 kHz conventions: 2048-sample
-Hann window, 512 hop, 128 Slaney-style mel bands, 20 cepstral coefficients,
-12 chroma bins folded over C1..C8.
+Transforms come from numpy.fft behind the power-of-two `fft`/`rfft`
+wrappers; the DCT-II and the mel and chroma filterbanks are explicit
+matrices built here. Analysis parameters follow common 22 kHz conventions:
+2048-sample Hann window, 512 hop, 128 Slaney-style mel bands, 20 cepstral
+coefficients, 12 chroma bins folded over C1..C8.
 """
 
 from __future__ import annotations
@@ -25,76 +25,39 @@ FEATURE_DIMS = {"mel": N_MELS * 6, "mfcc": N_MFCC * 6, "chroma": N_CHROMA * 6, "
 FEATURE_KINDS = list(FEATURE_DIMS)
 
 
-@lru_cache(maxsize=8)
-def _fft_tables(n: int):
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(levels):
-        rev |= ((idx >> b) & 1) << (levels - 1 - b)
-    twiddles = {}
-    m = 2
-    while m <= n:
-        twiddles[m] = np.exp(-2j * np.pi * np.arange(m // 2) / m)
-        m *= 2
-    return rev, twiddles
+def _fft_size(x: np.ndarray, n: int | None, smallest: int) -> int:
+    n = x.shape[-1] if n is None else n
+    if n < smallest or n & (n - 1):
+        raise ValueError(f"FFT size must be a power of two >= {smallest}, got {n}")
+    if x.shape[-1] > n:
+        raise ValueError(f"signal length {x.shape[-1]} exceeds FFT size {n}")
+    return n
 
 
 def fft(signal: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Radix-2 decimation-in-time FFT along the last axis.
+    """FFT along the last axis, computed by numpy.fft.
 
     `n` must be a power of two; shorter signals are zero-padded. Accepts a
-    batch of rows, transforming each independently.
+    batch of rows, transforming each independently. Single-precision input
+    gives complex64, anything else complex128.
     """
     x = np.asarray(signal)
-    if n is None:
-        n = x.shape[-1]
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"FFT size must be a power of two, got {n}")
-    if x.shape[-1] > n:
-        raise ValueError(f"signal length {x.shape[-1]} exceeds FFT size {n}")
-    if x.shape[-1] < n:
-        pad = [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]
-        x = np.pad(x, pad)
+    n = _fft_size(x, n, 1)
     ctype = np.complex64 if x.dtype in (np.float32, np.complex64) else np.complex128
-    x = x.astype(ctype, copy=False)
-    if n == 1:
-        return x.copy()
-    rev, twiddles = _fft_tables(n)
-    x = np.ascontiguousarray(x[..., rev])
-    m = 2
-    while m <= n:
-        half = m // 2
-        blocks = x.reshape(x.shape[:-1] + (n // m, m))
-        odd = blocks[..., half:] * twiddles[m].astype(ctype)
-        blocks[..., half:] = blocks[..., :half] - odd
-        blocks[..., :half] += odd
-        m *= 2
-    return x
+    return np.fft.fft(x, n).astype(ctype, copy=False)
 
 
 def rfft(signal: np.ndarray, n: int | None = None) -> np.ndarray:
-    """FFT of real input via one half-size complex transform; first n/2+1 bins."""
+    """FFT of real input along the last axis; the first n/2+1 bins.
+
+    Same size rules as `fft` (n >= 2); float32 input gives complex64.
+    """
     x = np.asarray(signal)
     if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
-    if n is None:
-        n = x.shape[-1]
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"FFT size must be a power of two >= 2, got {n}")
-    if x.shape[-1] < n:
-        pad = [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]
-        x = np.pad(x, pad)
-    half = n // 2
-    z = fft(x[..., 0::2] + 1j * x[..., 1::2], half)
-    z_rev = np.conj(np.concatenate([z[..., :1], z[..., :0:-1]], axis=-1))
-    even = 0.5 * (z + z_rev)
-    odd = -0.5j * (z - z_rev)
-    w = np.exp(-2j * np.pi * np.arange(half) / n).astype(z.dtype)
-    out = np.empty(x.shape[:-1] + (half + 1,), dtype=z.dtype)
-    out[..., :half] = even + w * odd
-    out[..., half] = (even - odd)[..., 0].real
-    return out
+    n = _fft_size(x, n, 2)
+    ctype = np.complex64 if x.dtype == np.float32 else np.complex128
+    return np.fft.rfft(x, n).astype(ctype, copy=False)
 
 
 @lru_cache(maxsize=4)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .parallel import parallel_map
 from .seeds import derive_seed
 
 NORMALIZE_EPS = 1e-8
@@ -340,10 +341,10 @@ def _worker_init(train_xy, val_xy, max_epochs, patience):
 
 
 def _worker_train(job):
-    i, spec, seed = job
+    spec, seed = job
     train_xy, val_xy, max_epochs, patience = _WORKER_DATA["args"]
     _, result = train(spec, train_xy, val_xy, seed, max_epochs, patience)
-    return i, result
+    return result
 
 
 def grid_search(
@@ -365,22 +366,17 @@ def grid_search(
     train_xy, val_xy, test_xy = data_splits
     if specs is None:
         specs = grid_specs(task, n_classes)
-    jobs = [(i, spec, derive_seed(seed, "probe-config", i)) for i, spec in enumerate(specs)]
-    results: list[ProbeResult | None] = [None] * len(specs)
-    probe = None
+    jobs = [(spec, derive_seed(seed, "probe-config", i)) for i, spec in enumerate(specs)]
     if workers > 1 and len(specs) > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, _worker_init, (train_xy, val_xy, max_epochs, patience)) as pool:
-            for i, result in pool.imap_unordered(_worker_train, jobs):
-                results[i] = result
+        data = (train_xy, val_xy, max_epochs, patience)
+        results = parallel_map(_worker_train, jobs, workers, _worker_init, data)
         winner = select_best(results)
         # retrain the winner (same derived seed, so bit-identical) for the one test pass
-        probe, _ = train(specs[winner], train_xy, val_xy, jobs[winner][2], max_epochs, patience)
+        probe, _ = train(specs[winner], train_xy, val_xy, jobs[winner][1], max_epochs, patience)
     else:
+        results: list[ProbeResult | None] = [None] * len(specs)
         best = None
-        for i, spec, cfg_seed in jobs:
+        for i, (spec, cfg_seed) in enumerate(jobs):
             candidate, results[i] = train(spec, train_xy, val_xy, cfg_seed, max_epochs, patience)
             if best is None or (-results[i].val_metric, spec.sort_key()) < best:
                 best = (-results[i].val_metric, spec.sort_key())

@@ -293,6 +293,8 @@ def read_wav(data: bytes) -> tuple[np.ndarray, int]:
         if len(body) < chunk_len:
             raise WavParseError(f"truncated {chunk_id!r} chunk at offset {pos}")
         if chunk_id == b"fmt ":
+            if chunk_len < 16:
+                raise WavParseError(f"fmt chunk at offset {pos} holds {chunk_len} bytes, needs 16")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif chunk_id == b"data":
             payload = body

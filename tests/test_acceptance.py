@@ -19,7 +19,7 @@ from earbench.cli import main
 from earbench.datasets import CONCEPTS, EXPECTED_COUNTS, LABEL_FIELDS
 from earbench.embeddings import read_embeddings_file, write_embeddings_file
 from earbench.seeds import derive_seed
-from conftest import make_random_sequence
+from random_midi import make_random_sequence
 
 SEED = 11
 WORKERS = 2

@@ -76,6 +76,16 @@ def test_rfft_agrees_with_fft(rng):
     assert np.max(np.abs(rfft(x) - full)) < 1e-10
 
 
+def test_fft_precision_follows_input():
+    single = np.ones(8, dtype=np.float32)
+    assert fft(single).dtype == np.complex64
+    assert rfft(single).dtype == np.complex64
+    assert fft(np.arange(8)).dtype == np.complex128
+    assert rfft(single.astype(np.float64)).dtype == np.complex128
+    with pytest.raises(ValueError):
+        rfft(np.zeros(16), n=8)
+
+
 def test_stft_frame_count_and_silence():
     silent = stft(np.zeros(CLIP_SAMPLES))
     assert silent.shape == (1 + (CLIP_SAMPLES - WINDOW) // HOP, WINDOW // 2 + 1)
@@ -247,3 +257,52 @@ def test_time_shift_robust_mean_pooling():
     interior_b = mel_b[10 + 22 : 169 - 10].mean(axis=0)
     rel = np.linalg.norm(interior_a - interior_b) / np.linalg.norm(interior_a)
     assert rel < 1e-3
+
+
+def _matrix_dft_rfft(signal, n=None):
+    """Reference real DFT by explicit cosine/sine matrices in float64, no FFT."""
+    x = np.asarray(signal, dtype=np.float64)
+    n = x.shape[-1] if n is None else n
+    j = np.arange(x.shape[-1])
+    blocks = []
+    for k in np.array_split(np.arange(n // 2 + 1), 8):  # bounds the basis to 8 MB per block
+        angle = 2.0 * np.pi * (np.outer(j, k) % n) / n
+        blocks.append(x @ np.cos(angle) - 1j * (x @ np.sin(angle)))
+    return np.concatenate(blocks, axis=-1)
+
+
+def _chroma_dims(kind):
+    """Mask of the dimensions pooled from the float32 chroma path."""
+    if kind == "chroma":
+        return np.ones(FEATURE_DIMS[kind], dtype=bool)
+    mask = np.zeros((6, FEATURE_DIMS[kind] // 6), dtype=bool)
+    if kind == "aggregate":  # each pooled statistic stacks mel 128, chroma 12, mfcc 20
+        mask[:, N_MELS : N_MELS + 12] = True
+    return mask.ravel()
+
+
+@pytest.mark.parametrize("sample_id", ["chord_p00_augmented_first_i01", "timesig_02-2_r0_c0_o5"])
+def test_feature_vectors_match_matrix_dft_reference(sample_id, monkeypatch):
+    """Every kind stays within a stated tolerance of the same pipeline run on an exact DFT.
+
+    Tolerances: 1e-12 of the vector's largest magnitude on the float64 mel
+    and MFCC dimensions, 2e-7 absolute on the chroma dimensions, which are
+    transformed in float32 and max-normalized per frame. The augmented chord
+    has near-tied spectral peaks, so a less accurate float32 transform moves
+    its chroma by far more than the tolerance.
+    """
+    from earbench.datasets import build_records, render_sample
+
+    concept = "chords" if sample_id.startswith("chord") else "time_signatures"
+    record = next(r for r in build_records(concept, 11) if r["id"] == sample_id)
+    clip = render_sample(record)
+    got = {kind: feature_vector(clip, kind) for kind in features.FEATURE_KINDS}
+    monkeypatch.setattr(features, "rfft", _matrix_dft_rfft)
+    for kind in features.FEATURE_KINDS:
+        ref = feature_vector(clip, kind)
+        err = np.abs(got[kind] - ref)
+        f32 = _chroma_dims(kind)
+        if (~f32).any():
+            assert err[~f32].max() <= 1e-12 * np.abs(ref[~f32]).max(), kind
+        if f32.any():
+            assert err[f32].max() <= 2e-7, kind

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,30 @@ def test_ingest_orders_by_manifest(rng):
     out = ingest_embeddings(["r3", "r1", "r2"], matrix, records)
     assert np.array_equal(out[0], matrix[1])
     assert np.array_equal(out[2], matrix[0])
+
+
+FULL_CORPUS_IDS = 39_744  # the intervals concept, the largest
+
+
+def test_ingest_full_corpus_join_is_fast(rng):
+    ids = [f"interval_{i:05d}" for i in range(FULL_CORPUS_IDS)]
+    records = [{"id": sid} for sid in ids]
+    order = rng.permutation(FULL_CORPUS_IDS)
+    matrix = order.astype(np.float32).reshape(-1, 1)
+    start = time.perf_counter()
+    out = ingest_embeddings([ids[i] for i in order], matrix, records)
+    assert time.perf_counter() - start < 2.0  # a quadratic join takes minutes
+    assert np.array_equal(out[:, 0], np.arange(FULL_CORPUS_IDS))
+
+
+def test_duplicate_id_among_full_corpus_is_fast():
+    ids = [f"interval_{i:05d}" for i in range(FULL_CORPUS_IDS)]
+    data = write_embeddings(ids, np.zeros((FULL_CORPUS_IDS, 1), dtype=np.float32))
+    corrupted = data.replace(b"interval_39743", b"interval_00007")
+    start = time.perf_counter()
+    with pytest.raises(EmbeddingFormatError, match="interval_00007"):
+        read_embeddings(corrupted)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_ingest_reports_mismatched_ids(rng):
@@ -230,3 +255,16 @@ def test_cli_small_pipeline_round_trip(tmp_path, capsys):
     # grid row count contract for the preset path
     with open(results / "scales_chroma.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 1
+
+
+def test_cli_extract_same_bytes_with_one_or_two_workers(tmp_path):
+    data = tmp_path / "data"
+    assert main(["generate", "--concept", "chords", "--out", str(data), "--seed", "5",
+                 "--subsample", "0.0008", "--workers", "2"]) == 0
+    outputs = []
+    for workers in ("1", "2"):
+        emb = tmp_path / f"chords_aggregate_{workers}.emb"
+        assert main(["extract", "--concept", "chords", "--data", str(data), "--feature", "aggregate",
+                     "--out", str(emb), "--workers", workers]) == 0
+        outputs.append(emb.read_bytes())
+    assert outputs[0] == outputs[1]

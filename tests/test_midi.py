@@ -17,7 +17,7 @@ from earbench.midi import (
     encode_vlq,
     tempo_to_microseconds,
 )
-from conftest import make_random_sequence
+from random_midi import make_random_sequence
 
 
 def test_vlq_reference_bytes():

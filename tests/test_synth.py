@@ -254,3 +254,11 @@ def test_wav_malformed_input():
     good = write_wav(np.zeros(100))
     with pytest.raises(WavParseError):
         read_wav(good[:20])
+
+
+def test_wav_short_fmt_chunk_names_offset():
+    good = write_wav(np.zeros(100))
+    # an 8-byte fmt chunk (format, channels, rate) followed by the data chunk
+    short = good[:16] + (8).to_bytes(4, "little") + good[20:28] + good[36:]
+    with pytest.raises(WavParseError, match="offset 12"):
+        read_wav(short)
