@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output root directory")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--subsample", type=float, default=1.0, help="stratified fraction in (0, 1]")
-    gen.add_argument("--manifest-only", action="store_true", help="write manifests and splits, skip audio")
+    gen.add_argument("--manifest-only", action="store_true", help="write manifests only, skip MIDI and audio")
     gen.add_argument("--workers", type=int, default=os.cpu_count())
 
     ext = sub.add_parser("extract", help="pool handcrafted features into an embedding file")

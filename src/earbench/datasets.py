@@ -1,6 +1,6 @@
 """The seven concept datasets: record construction, rendering, splits.
 
-Each generator enumerates its full combinatorial grid in a fixed order, so a
+One table entry per concept crosses its axes in a fixed order, so a
 manifest is a pure function of the global seed. Rendering one sample depends
 only on its own record, which keeps parallel materialization deterministic.
 
@@ -8,11 +8,15 @@ On-disk layout per concept:
     <out>/<concept>/manifest.jsonl
     <out>/<concept>/midi/<id>.mid
     <out>/<concept>/audio/<id>.wav
-    <out>/<concept>/splits/<seed>.json
+
+No split file is written: `make_split(manifest, concept, seed)` is the one
+source of the train/validation/test assignment, and probe derives it from the
+manifest and its own --seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -70,207 +74,94 @@ CLICK_MIDI_NOTES = {
 NOTES_OCTAVES = list(range(-1, 8))  # MIDI 0..107, the lowest contiguous 9-octave block
 
 
-def sample_seed(seed: int, concept: str, sample_id: str) -> int:
-    return derive_seed(seed, "sample", concept, sample_id)
+def _offset_s(rng_seed: int, high: float) -> float:
+    return float(np.random.default_rng(rng_seed).uniform(0.0, high))
 
 
-def _finish(record: dict) -> dict:
-    record["midi_path"] = f"midi/{record['id']}.mid"
-    record["wav_path"] = f"audio/{record['id']}.wav"
-    return record
+# Per concept: the axes crossed in enumeration order, the sample id of a point,
+# and the concept's own fields for (rng_seed, *point) in manifest key order.
+_RECORD_TABLE = {
+    "tempo": (
+        (range(len(synth.CLICK_SETTINGS)), theory.TEMPO_RANGE_BPM, range(5)),
+        lambda click, bpm, o: f"tempo_b{bpm:03d}_c{click}_o{o}",
+        lambda rng_seed, click, bpm, o: {
+            "bpm": bpm, "click_id": click, "offset_index": o,
+            # within one bar, and early enough that a second click still lands
+            "offset_s": _offset_s(rng_seed, min(4 * 60.0 / bpm, synth.CLIP_SECONDS - 60.0 / bpm)),
+            "reverb_level": "dry",
+        },
+    ),
+    "time_signatures": (
+        (theory.TIME_SIGNATURES, tuple(enumerate(synth.REVERB_LEVELS)),
+         range(len(synth.CLICK_SETTINGS)), range(10)),
+        lambda sig, rev, click, o: f"timesig_{sig[0]:02d}-{sig[1]}_r{rev[0]}_c{click}_o{o}",
+        lambda rng_seed, sig, rev, click, o: {
+            "time_signature": f"{sig[0]}/{sig[1]}", "numerator": sig[0], "denominator": sig[1],
+            "click_id": click, "reverb_level": rev[1], "offset_index": o,
+            "offset_s": _offset_s(rng_seed, sig[0] * (4.0 / sig[1]) * 0.5),  # one bar at 120 BPM
+        },
+    ),
+    "notes": (
+        (range(12), NOTES_OCTAVES, range(synth.NUM_TIMBRES)),
+        lambda pc, octave, inst: f"note_p{pc:02d}_o{octave + 1}_i{inst:02d}",
+        lambda rng_seed, pc, octave, inst: {
+            "pitch_class": pc, "octave": octave, "midi_note": theory.note_from(pc, octave),
+            "timbre_id": inst, "reverb_level": "dry",
+        },
+    ),
+    "intervals": (
+        (range(12), range(1, 13), theory.PLAY_STYLES_INTERVAL, range(synth.NUM_TIMBRES)),
+        lambda pc, half_steps, style, inst: f"interval_p{pc:02d}_h{half_steps:02d}_{style}_i{inst:02d}",
+        lambda rng_seed, pc, half_steps, style, inst: {
+            "root_pitch_class": pc, "root_note": 60 + pc, "half_steps": half_steps,
+            "play_style": style, "timbre_id": inst, "reverb_level": "dry",
+        },
+    ),
+    "scales": (
+        (theory.MODE_NAMES, range(12), theory.PLAY_STYLES_SCALE, range(synth.NUM_TIMBRES)),
+        lambda mode, pc, style, inst: f"scale_{mode}_p{pc:02d}_{style}_i{inst:02d}",
+        lambda rng_seed, mode, pc, style, inst: {
+            "mode": mode, "root_pitch_class": pc, "root_note": 60 + pc,
+            "play_style": style, "timbre_id": inst, "reverb_level": "dry",
+        },
+    ),
+    "chords": (
+        (range(12), theory.CHORD_QUALITIES, theory.INVERSIONS, range(synth.NUM_TIMBRES)),
+        lambda pc, quality, inversion, inst: f"chord_p{pc:02d}_{quality}_{inversion}_i{inst:02d}",
+        lambda rng_seed, pc, quality, inversion, inst: {
+            "root_pitch_class": pc, "root_note": 60 + pc, "quality": quality,
+            "inversion": inversion, "timbre_id": inst, "reverb_level": "dry",
+        },
+    ),
+    "progressions": (
+        (theory.PROGRESSIONS, range(12), range(synth.NUM_TIMBRES)),
+        lambda spec, pc, inst: f"prog_{spec.index:02d}_p{pc:02d}_i{inst:02d}",
+        lambda rng_seed, spec, pc, inst: {
+            "progression_index": spec.index, "progression": spec.text, "key_mode": spec.key_mode,
+            "key_root": pc, "timbre_id": inst, "reverb_level": "dry",
+        },
+    ),
+}
 
 
 def build_records(concept: str, seed: int) -> list[dict]:
     """All manifest records for one concept, sorted by id."""
-    builder = {
-        "tempo": _tempo_records,
-        "time_signatures": _time_signature_records,
-        "notes": _note_records,
-        "intervals": _interval_records,
-        "scales": _scale_records,
-        "chords": _chord_records,
-        "progressions": _progression_records,
-    }[concept]
-    records = builder(seed)
+    axes, make_id, fields = _RECORD_TABLE[concept]
+    records = []
+    for point in itertools.product(*axes):
+        sid = make_id(*point)
+        rng_seed = derive_seed(seed, "sample", concept, sid)
+        records.append(
+            {
+                "id": sid,
+                "concept": concept,
+                **fields(rng_seed, *point),
+                "rng_seed": rng_seed,
+                "midi_path": f"midi/{sid}.mid",
+                "wav_path": f"audio/{sid}.wav",
+            }
+        )
     records.sort(key=lambda r: r["id"])
-    return records
-
-
-def _tempo_records(seed):
-    records = []
-    for click in range(len(synth.CLICK_SETTINGS)):
-        for bpm in theory.TEMPO_RANGE_BPM:
-            for offset_index in range(5):
-                sid = f"tempo_b{bpm:03d}_c{click}_o{offset_index}"
-                rng_seed = sample_seed(seed, "tempo", sid)
-                bar_s = 4 * 60.0 / bpm
-                offset_s = float(np.random.default_rng(rng_seed).uniform(0.0, bar_s))
-                records.append(
-                    _finish(
-                        {
-                            "id": sid,
-                            "concept": "tempo",
-                            "bpm": bpm,
-                            "click_id": click,
-                            "offset_index": offset_index,
-                            "offset_s": offset_s,
-                            "reverb_level": "dry",
-                            "rng_seed": rng_seed,
-                        }
-                    )
-                )
-    return records
-
-
-def _time_signature_records(seed):
-    records = []
-    for num, den in theory.TIME_SIGNATURES:
-        for reverb_index, reverb in enumerate(synth.REVERB_LEVELS):
-            for click in range(len(synth.CLICK_SETTINGS)):
-                for offset_index in range(10):
-                    sid = f"timesig_{num:02d}-{den}_r{reverb_index}_c{click}_o{offset_index}"
-                    rng_seed = sample_seed(seed, "time_signatures", sid)
-                    beat_s = (4.0 / den) * 0.5  # 120 BPM
-                    bar_s = num * beat_s
-                    offset_s = float(np.random.default_rng(rng_seed).uniform(0.0, bar_s))
-                    records.append(
-                        _finish(
-                            {
-                                "id": sid,
-                                "concept": "time_signatures",
-                                "time_signature": f"{num}/{den}",
-                                "numerator": num,
-                                "denominator": den,
-                                "click_id": click,
-                                "reverb_level": reverb,
-                                "offset_index": offset_index,
-                                "offset_s": offset_s,
-                                "rng_seed": rng_seed,
-                            }
-                        )
-                    )
-    return records
-
-
-def _note_records(seed):
-    records = []
-    for pc in range(12):
-        for octave in NOTES_OCTAVES:
-            for inst in range(synth.NUM_TIMBRES):
-                sid = f"note_p{pc:02d}_o{octave + 1}_i{inst:02d}"
-                records.append(
-                    _finish(
-                        {
-                            "id": sid,
-                            "concept": "notes",
-                            "pitch_class": pc,
-                            "octave": octave,
-                            "midi_note": theory.note_from(pc, octave),
-                            "timbre_id": inst,
-                            "reverb_level": "dry",
-                            "rng_seed": sample_seed(seed, "notes", sid),
-                        }
-                    )
-                )
-    return records
-
-
-def _interval_records(seed):
-    records = []
-    for pc in range(12):
-        for half_steps in range(1, 13):
-            for style in theory.PLAY_STYLES_INTERVAL:
-                for inst in range(synth.NUM_TIMBRES):
-                    sid = f"interval_p{pc:02d}_h{half_steps:02d}_{style}_i{inst:02d}"
-                    records.append(
-                        _finish(
-                            {
-                                "id": sid,
-                                "concept": "intervals",
-                                "root_pitch_class": pc,
-                                "root_note": 60 + pc,
-                                "half_steps": half_steps,
-                                "play_style": style,
-                                "timbre_id": inst,
-                                "reverb_level": "dry",
-                                "rng_seed": sample_seed(seed, "intervals", sid),
-                            }
-                        )
-                    )
-    return records
-
-
-def _scale_records(seed):
-    records = []
-    for mode in theory.MODE_NAMES:
-        for pc in range(12):
-            for style in theory.PLAY_STYLES_SCALE:
-                for inst in range(synth.NUM_TIMBRES):
-                    sid = f"scale_{mode}_p{pc:02d}_{style}_i{inst:02d}"
-                    records.append(
-                        _finish(
-                            {
-                                "id": sid,
-                                "concept": "scales",
-                                "mode": mode,
-                                "root_pitch_class": pc,
-                                "root_note": 60 + pc,
-                                "play_style": style,
-                                "timbre_id": inst,
-                                "reverb_level": "dry",
-                                "rng_seed": sample_seed(seed, "scales", sid),
-                            }
-                        )
-                    )
-    return records
-
-
-def _chord_records(seed):
-    records = []
-    for pc in range(12):
-        for quality in theory.CHORD_QUALITIES:
-            for inversion in theory.INVERSIONS:
-                for inst in range(synth.NUM_TIMBRES):
-                    sid = f"chord_p{pc:02d}_{quality}_{inversion}_i{inst:02d}"
-                    records.append(
-                        _finish(
-                            {
-                                "id": sid,
-                                "concept": "chords",
-                                "root_pitch_class": pc,
-                                "root_note": 60 + pc,
-                                "quality": quality,
-                                "inversion": inversion,
-                                "timbre_id": inst,
-                                "reverb_level": "dry",
-                                "rng_seed": sample_seed(seed, "chords", sid),
-                            }
-                        )
-                    )
-    return records
-
-
-def _progression_records(seed):
-    records = []
-    for spec in theory.PROGRESSIONS:
-        for pc in range(12):
-            for inst in range(synth.NUM_TIMBRES):
-                sid = f"prog_{spec.index:02d}_p{pc:02d}_i{inst:02d}"
-                records.append(
-                    _finish(
-                        {
-                            "id": sid,
-                            "concept": "progressions",
-                            "progression_index": spec.index,
-                            "progression": spec.text,
-                            "key_mode": spec.key_mode,
-                            "key_root": pc,
-                            "timbre_id": inst,
-                            "reverb_level": "dry",
-                            "rng_seed": sample_seed(seed, "progressions", sid),
-                        }
-                    )
-                )
     return records
 
 
@@ -404,16 +295,8 @@ def make_split(records: list[dict], concept: str, seed: int) -> dict[str, str]:
         return assignment
     perm = rng.permutation(len(ids))
     n_eval = round(0.15 * len(ids))
-    n_train = len(ids) - 2 * n_eval
-    assignment = {}
-    for rank, idx in enumerate(perm):
-        if rank < n_train:
-            assignment[ids[idx]] = "train"
-        elif rank < n_train + n_eval:
-            assignment[ids[idx]] = "validation"
-        else:
-            assignment[ids[idx]] = "test"
-    return assignment
+    names = ["train"] * (len(ids) - 2 * n_eval) + ["validation"] * n_eval + ["test"] * n_eval
+    return {ids[idx]: name for idx, name in zip(perm, names)}
 
 
 def subsample_records(records: list[dict], concept: str, fraction: float, seed: int) -> list[dict]:
@@ -473,16 +356,12 @@ def generate_concept(
     manifest_only: bool = False,
     workers: int = 1,
 ) -> list[dict]:
-    """Build records, write the manifest/split files, and render unless manifest_only."""
+    """Build records, write the manifest, and render unless manifest_only."""
     records = build_records(concept, seed)
     records = subsample_records(records, concept, subsample, seed)
     concept_dir = Path(out_root) / concept
     concept_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(records, concept_dir / "manifest.jsonl")
-    (concept_dir / "splits").mkdir(exist_ok=True)
-    split = make_split(records, concept, seed)
-    with open(concept_dir / "splits" / f"{seed}.json", "w", encoding="utf-8") as fh:
-        json.dump(split, fh, indent=0, sort_keys=True)
     if manifest_only:
         return records
     (concept_dir / "midi").mkdir(exist_ok=True)

@@ -49,6 +49,8 @@ def read_embeddings(data: bytes) -> tuple[list[str], np.ndarray]:
     if len(data) < pos + 8:
         raise EmbeddingFormatError(f"truncated header at offset {len(data)}")
     dim, count = struct.unpack_from("<II", data, pos)
+    if dim == 0:
+        raise EmbeddingFormatError(f"dim 0 at offset {pos}")
     pos += 8
     ids = []
     for _ in range(count):
@@ -68,6 +70,10 @@ def read_embeddings(data: bytes) -> tuple[list[str], np.ndarray]:
         raise EmbeddingFormatError(
             f"truncated payload at offset {pos}: need {payload} bytes, have {len(data) - pos}"
         )
+    if len(data) > pos + payload:
+        raise EmbeddingFormatError(
+            f"{len(data) - pos - payload} trailing bytes at offset {pos + payload}"
+        )
     matrix = np.frombuffer(data[pos : pos + payload], dtype="<f4").reshape(count, dim)
     return ids, matrix
 
@@ -81,7 +87,7 @@ def read_embeddings_file(path) -> tuple[list[str], np.ndarray]:
 
 
 def ingest_embeddings(ids: list[str], matrix: np.ndarray, records: list[dict]) -> np.ndarray:
-    """Rows reordered to manifest order after a strict 1:1 id join."""
+    """Rows reordered to manifest order after a strict 1:1 id join; rejects non-finite rows."""
     by_id = {sid: row for sid, row in zip(ids, matrix)}
     manifest_ids = [r["id"] for r in records]
     missing = [i for i in manifest_ids if i not in by_id]
@@ -92,4 +98,10 @@ def ingest_embeddings(ids: list[str], matrix: np.ndarray, records: list[dict]) -
             f"embedding ids do not join the manifest 1:1; "
             f"missing {len(missing)} (first {missing[:10]}), extra {len(extra)} (first {extra[:10]})"
         )
-    return np.stack([by_id[i] for i in manifest_ids])
+    x = np.stack([by_id[i] for i in manifest_ids])
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise EmbeddingFormatError(
+            f"non-finite values in {bad.size} rows (first {[manifest_ids[i] for i in bad[:10]]})"
+        )
+    return x

@@ -175,9 +175,10 @@ def _chroma_from_frames(frames: np.ndarray) -> np.ndarray:
     # chroma is max-normalized per frame anyway
     power = np.abs(rfft(frames.astype(np.float32), n_fft)) ** 2
     # fold only spectral peaks: window-mainlobe shoulders otherwise leak more
-    # summed energy into neighboring semitones than the true one at low pitch
+    # summed energy into neighboring semitones than the true one at low pitch;
+    # strict on the left, so a plateau of equal bins counts as one peak
     peaks = np.zeros_like(power)
-    is_peak = (power[:, 1:-1] >= power[:, :-2]) & (power[:, 1:-1] >= power[:, 2:])
+    is_peak = (power[:, 1:-1] > power[:, :-2]) & (power[:, 1:-1] >= power[:, 2:])
     peaks[:, 1:-1] = np.where(is_peak, power[:, 1:-1], 0.0)
     out = peaks @ _chroma_fold(n_fft)
     peak = out.max(axis=1, keepdims=True)

@@ -324,13 +324,14 @@ def gradient_check(
     return worst_err, worst_name
 
 
+def _selection_key(result: ProbeResult):
+    """Smaller is better: highest validation metric, then the spec's tie-break."""
+    return (-result.val_metric, result.spec.sort_key())
+
+
 def select_best(results: list[ProbeResult]) -> int:
     """Index of the winner: highest validation metric, deterministic tie-break."""
-    def key(item):
-        i, r = item
-        return (-r.val_metric, r.spec.sort_key())
-
-    return min(enumerate(results), key=key)[0]
+    return min(range(len(results)), key=lambda i: _selection_key(results[i]))
 
 
 _WORKER_DATA = {}
@@ -378,9 +379,9 @@ def grid_search(
         best = None
         for i, (spec, cfg_seed) in enumerate(jobs):
             candidate, results[i] = train(spec, train_xy, val_xy, cfg_seed, max_epochs, patience)
-            if best is None or (-results[i].val_metric, spec.sort_key()) < best:
-                best = (-results[i].val_metric, spec.sort_key())
-                winner, probe = i, candidate
+            key = _selection_key(results[i])
+            if best is None or key < best:
+                best, winner, probe = key, i, candidate
     test_metric = evaluate(probe, *test_xy)
     results[winner] = replace(results[winner], test_metric=test_metric)
     return results[winner], results

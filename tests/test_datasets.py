@@ -1,4 +1,4 @@
-import json
+import hashlib
 import math
 from collections import Counter
 
@@ -18,6 +18,7 @@ from earbench.datasets import (
     read_manifest,
     render_sample,
     subsample_records,
+    write_manifest,
 )
 
 SEED = 7
@@ -73,6 +74,22 @@ def test_offsets_stay_inside_one_bar(all_records):
     for r in all_records["time_signatures"]:
         bar_s = r["numerator"] * (4.0 / r["denominator"]) * 0.5
         assert 0.0 <= r["offset_s"] < bar_s
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_every_tempo_clip_has_two_clicks(seed):
+    # one click, or none, carries no tempo
+    for r in build_records("tempo", seed):
+        assert len(click_pattern(r)) >= 2, r["id"]
+
+
+def test_manifest_bytes_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for concept in CONCEPTS:
+        path = tmp_path / f"{concept}.jsonl"
+        write_manifest(build_records(concept, 11), path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == "451439aebaa2b88e2ed0b8f661489e6abc2c342f187193d343a639a82a8a3904"
 
 
 def test_concept_isolation_fields(all_records):
@@ -217,8 +234,7 @@ def test_generate_concept_writes_layout(tmp_path):
     concept_dir = tmp_path / "scales"
     manifest = read_manifest(concept_dir / "manifest.jsonl")
     assert manifest == records
-    split = json.loads((concept_dir / "splits" / f"{SEED}.json").read_text())
-    assert set(split) == {r["id"] for r in records}
+    assert not (concept_dir / "splits").exists()
     for r in records[:3]:
         wav_bytes = (concept_dir / r["wav_path"]).read_bytes()
         clip, rate = synth.read_wav(wav_bytes)

@@ -165,6 +165,19 @@ def test_chroma_sine_at_440_is_a():
     assert np.all(voiced.argmax(axis=1) == 9)  # A
 
 
+def test_chroma_two_bin_plateau_counts_once(monkeypatch):
+    n_fft = WINDOW * features.CHROMA_PAD
+    fold = features._chroma_fold(n_fft)
+    a_bin = round(440.0 * n_fft / SAMPLE_RATE)
+    c_bin = round(523.25 * n_fft / SAMPLE_RATE)
+    assert fold[a_bin, 9] == fold[a_bin + 1, 9] == fold[c_bin, 0] == 1.0
+    spectrum = np.zeros((1, n_fft // 2 + 1), dtype=np.complex64)
+    spectrum[0, [a_bin, a_bin + 1, c_bin]] = 1.0  # A as an exact two-bin tie, C as one bin
+    monkeypatch.setattr(features, "rfft", lambda signal, n=None: spectrum)
+    ch = features._chroma_from_frames(np.zeros((1, WINDOW)))
+    assert ch[0, 9] == ch[0, 0] == 1.0
+
+
 def test_chroma_silence_is_zero():
     assert np.all(chroma(np.zeros(CLIP_SAMPLES)) == 0.0)
 

@@ -44,6 +44,17 @@ def test_embedding_truncated_payload(rng):
         read_embeddings(data[:-5])
 
 
+def test_embedding_zero_dim_names_offset():
+    with pytest.raises(EmbeddingFormatError, match="dim 0 at offset 7"):
+        read_embeddings(write_embeddings(["a"], np.zeros((1, 0), dtype=np.float32)))
+
+
+def test_embedding_trailing_bytes_name_offset(rng):
+    data = write_embeddings(["a", "b"], rng.standard_normal((2, 4)).astype(np.float32))
+    with pytest.raises(EmbeddingFormatError, match=f"3 trailing bytes at offset {len(data)}"):
+        read_embeddings(data + b"\x00" * 3)
+
+
 def test_embedding_duplicate_ids(rng):
     matrix = rng.standard_normal((2, 3)).astype(np.float32)
     data = write_embeddings(["a", "b"], matrix)
@@ -58,6 +69,15 @@ def test_ingest_orders_by_manifest(rng):
     out = ingest_embeddings(["r3", "r1", "r2"], matrix, records)
     assert np.array_equal(out[0], matrix[1])
     assert np.array_equal(out[2], matrix[0])
+
+
+def test_ingest_rejects_non_finite_rows_by_id():
+    records = [{"id": f"r{i}"} for i in range(4)]
+    matrix = np.ones((4, 3), dtype=np.float32)
+    matrix[1, 2] = np.nan
+    matrix[3, 0] = -np.inf
+    with pytest.raises(EmbeddingFormatError, match=r"non-finite values in 2 rows \(first \['r1', 'r3'\]\)"):
+        ingest_embeddings([r["id"] for r in records], matrix, records)
 
 
 FULL_CORPUS_IDS = 39_744  # the intervals concept, the largest
