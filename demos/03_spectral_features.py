@@ -1,4 +1,4 @@
-"""Handcrafted features on one rendered scale: STFT, mel, MFCC, chroma.
+"""Handcrafted features on one rendered scale: mel, MFCC, chroma and their stack.
 
 Run: python demos/03_spectral_features.py
 Saves demo_out/features.png when matplotlib is available.
@@ -23,11 +23,9 @@ record = {
 }
 clip = datasets.render_sample(record)
 
-spec = features.stft(clip)
-mel = features.mel_spectrogram(clip)
-cepstra = features.mfcc(clip)
-pcp = features.chroma(clip)
-print(f"stft {spec.shape}, mel {mel.shape}, mfcc {cepstra.shape}, chroma {pcp.shape}")
+frames = {kind: features.frame_features(clip, kind) for kind in features.FEATURE_KINDS}
+print(", ".join(f"{kind} {f.shape}" for kind, f in frames.items()))
+mel, cepstra, pcp = frames["mel"], frames["mfcc"], frames["chroma"]
 
 # the chroma argmax should walk the D dorian scale: D E F G A B C D
 centers = [int((i + 0.5) * len(pcp) / 8) for i in range(8)]
@@ -46,10 +44,10 @@ try:
     from pathlib import Path
 
     fig, axes = plt.subplots(3, 1, figsize=(9, 7), sharex=True)
-    axes[0].imshow(np.log1p(spec[:, :300]).T, aspect="auto", origin="lower")
-    axes[0].set_ylabel("STFT bin")
-    axes[1].imshow(mel.T, aspect="auto", origin="lower")
-    axes[1].set_ylabel("mel band")
+    axes[0].imshow(mel.T, aspect="auto", origin="lower")
+    axes[0].set_ylabel("mel band")
+    axes[1].imshow(cepstra.T, aspect="auto", origin="lower")
+    axes[1].set_ylabel("MFCC")
     axes[2].imshow(pcp.T, aspect="auto", origin="lower")
     axes[2].set_ylabel("pitch class")
     axes[2].set_xlabel("frame")

@@ -129,14 +129,6 @@ def class_labels(records: list[dict], concept: str):
     return np.array([index[r[field]] for r in records]), classes
 
 
-def _split_xy(x, y, records, assignment):
-    parts = {}
-    for name in ("train", "validation", "test"):
-        idx = [i for i, r in enumerate(records) if assignment[r["id"]] == name]
-        parts[name] = (x[idx], y[idx])
-    return parts["train"], parts["validation"], parts["test"]
-
-
 def spec_summary(spec: probe.ProbeSpec) -> str:
     return (
         f"normalize={spec.normalize} model={spec.model} batch={spec.batch_size} "
@@ -179,7 +171,7 @@ def cmd_probe(args):
     task = datasets.CONCEPT_TASKS[args.concept]
     n_classes = len(classes) if classes else 0
     assignment = datasets.make_split(records, args.concept, args.seed)
-    splits = _split_xy(x, y, records, assignment)
+    splits = datasets.split_xy(x, y, records, assignment)
     specs = None if args.grid else [probe.lm_default_spec(task, n_classes)]
     selected, results = probe.grid_search(
         splits, task, n_classes, args.seed, specs=specs, workers=args.workers or 1

@@ -299,6 +299,19 @@ def make_split(records: list[dict], concept: str, seed: int) -> dict[str, str]:
     return {ids[idx]: name for idx, name in zip(perm, names)}
 
 
+def split_xy(x, y, records: list[dict], assignment: dict[str, str]):
+    """((x, y) train, (x, y) validation, (x, y) test) from rows that follow `records`.
+
+    `assignment` maps each record id to its split, as `make_split` returns it;
+    rows keep their record order within each split.
+    """
+    parts = []
+    for name in ("train", "validation", "test"):
+        idx = [i for i, r in enumerate(records) if assignment[r["id"]] == name]
+        parts.append((x[idx], y[idx]))
+    return tuple(parts)
+
+
 def subsample_records(records: list[dict], concept: str, fraction: float, seed: int) -> list[dict]:
     """Deterministic stratified subsample: ceil(fraction * count) per class."""
     if not 0.0 < fraction <= 1.0:

@@ -31,6 +31,8 @@ def write_embeddings(ids: list[str], matrix: np.ndarray) -> bytes:
     matrix = np.asarray(matrix, dtype="<f4")
     if matrix.ndim != 2 or matrix.shape[0] != len(ids):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(ids)} ids")
+    if matrix.shape[1] == 0:
+        raise ValueError("matrix has no columns; SYNEMB1 needs dim >= 1")
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate sample ids")
     parts = [MAGIC, struct.pack("<II", matrix.shape[1], matrix.shape[0])]
@@ -60,7 +62,10 @@ def read_embeddings(data: bytes) -> tuple[list[str], np.ndarray]:
         pos += 4
         if len(data) < pos + id_len:
             raise EmbeddingFormatError(f"truncated id at offset {pos}")
-        ids.append(data[pos : pos + id_len].decode("utf-8"))
+        try:
+            ids.append(data[pos : pos + id_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise EmbeddingFormatError(f"id at offset {pos} is not UTF-8: {exc.reason}") from None
         pos += id_len
     if len(set(ids)) != len(ids):
         dupes = sorted(i for i, n in Counter(ids).items() if n > 1)[:10]

@@ -1,4 +1,7 @@
-"""Spectral features: FFT/STFT, mel spectrogram, MFCC, chroma, time aggregation.
+"""Spectral features: mel spectrogram, MFCC, chroma, time aggregation.
+
+`frame_features` computes every kind from one framing of the clip, and
+`feature_vector` pools its frames over time.
 
 Transforms come from numpy.fft behind the power-of-two `fft`/`rfft`
 wrappers; the DCT-II and the mel and chroma filterbanks are explicit
@@ -67,15 +70,6 @@ def _hann(n: int) -> np.ndarray:
     return w
 
 
-def stft(clip: np.ndarray, window: int = WINDOW, hop: int = HOP) -> np.ndarray:
-    """Hann-windowed magnitude spectrogram, [n_frames x (window/2 + 1)].
-
-    Frames lie fully inside the signal: n_frames = 1 + (N - window) // hop.
-    """
-    frames = _frames(clip, window, hop)
-    return np.abs(rfft(frames, window))
-
-
 def hz_to_mel(f):
     """Slaney mel scale: linear below 1 kHz, logarithmic above."""
     f = np.asarray(f, dtype=np.float64)
@@ -106,20 +100,6 @@ def mel_filterbank(n_mels: int = N_MELS, window: int = WINDOW, sr: int = SAMPLE_
     return fb
 
 
-def mel_power(clip: np.ndarray) -> np.ndarray:
-    mag = stft(clip)
-    return (mag * mag) @ mel_filterbank().T
-
-
-def _mel_from_mag(mag: np.ndarray) -> np.ndarray:
-    return np.log1p((mag * mag) @ mel_filterbank().T)
-
-
-def mel_spectrogram(clip: np.ndarray) -> np.ndarray:
-    """log(1 + S) compressed mel power spectrogram, [n_frames x 128]."""
-    return _mel_from_mag(stft(clip))
-
-
 @lru_cache(maxsize=4)
 def dct_ii_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II basis, [n x n]; row k is the k-th cosine."""
@@ -129,15 +109,6 @@ def dct_ii_matrix(n: int) -> np.ndarray:
     mat[1:] *= np.sqrt(2.0 / n)
     mat.setflags(write=False)
     return mat
-
-
-def _mfcc_from_mel(log_mel: np.ndarray) -> np.ndarray:
-    return log_mel @ dct_ii_matrix(N_MELS)[:N_MFCC].T
-
-
-def mfcc(clip: np.ndarray) -> np.ndarray:
-    """First 20 orthonormal DCT-II coefficients of the log-mel frames."""
-    return _mfcc_from_mel(mel_spectrogram(clip))
 
 
 CHROMA_PAD = 4  # zero-padding factor; 2.7 Hz bins resolve semitones down to C2
@@ -160,15 +131,6 @@ def _chroma_fold(n_fft: int, sr: int = SAMPLE_RATE) -> np.ndarray:
     return fold
 
 
-def _frames(clip: np.ndarray, window: int = WINDOW, hop: int = HOP) -> np.ndarray:
-    clip = np.asarray(clip, dtype=np.float64)
-    if len(clip) < window:
-        raise ValueError(f"clip shorter than the analysis window ({len(clip)} < {window})")
-    n_frames = 1 + (len(clip) - window) // hop
-    starts = np.arange(n_frames) * hop
-    return clip[starts[:, None] + np.arange(window)] * _hann(window)
-
-
 def _chroma_from_frames(frames: np.ndarray) -> np.ndarray:
     n_fft = frames.shape[1] * CHROMA_PAD
     # single precision: the padded transform dominates extraction cost and
@@ -183,15 +145,6 @@ def _chroma_from_frames(frames: np.ndarray) -> np.ndarray:
     out = peaks @ _chroma_fold(n_fft)
     peak = out.max(axis=1, keepdims=True)
     return np.divide(out, peak, out=np.zeros_like(out), where=peak > 0)
-
-
-def chroma(clip: np.ndarray) -> np.ndarray:
-    """Per-frame pitch-class energy, normalized to unit maximum; [n_frames x 12].
-
-    Frames are zero-padded before the transform so peak positions quantize
-    finer than a semitone even in the low octaves.
-    """
-    return _chroma_from_frames(_frames(clip))
 
 
 def aggregate(frames: np.ndarray) -> np.ndarray:
@@ -212,23 +165,36 @@ def aggregate(frames: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def aggregate_handcrafted(clip: np.ndarray) -> np.ndarray:
-    """Pooled concatenation of mel, chroma and MFCC frames; 960 dimensions."""
-    frames = _frames(clip)
+def frame_features(clip: np.ndarray, kind: str) -> np.ndarray:
+    """[n_frames x bins] frames of one feature kind from one analysis pass.
+
+    The clip is cut into Hann-windowed frames lying fully inside it,
+    n_frames = 1 + (N - WINDOW) // HOP. `mel` is the log(1 + S) compressed
+    mel power spectrogram, `mfcc` the first 20 orthonormal DCT-II
+    coefficients of those log-mel frames, `chroma` the per-frame pitch-class
+    energy normalized to unit maximum, and `aggregate` stacks mel, chroma
+    and MFCC per frame. Chroma's padded transform runs only for `chroma` and
+    `aggregate`: it would roughly triple the cost of `mel` and `mfcc`.
+    """
+    if kind not in FEATURE_DIMS:
+        raise ValueError(f"unknown feature kind: {kind!r}")
+    clip = np.asarray(clip, dtype=np.float64)
+    if len(clip) < WINDOW:
+        raise ValueError(f"clip shorter than the analysis window ({len(clip)} < {WINDOW})")
+    starts = np.arange(1 + (len(clip) - WINDOW) // HOP) * HOP
+    frames = clip[starts[:, None] + np.arange(WINDOW)] * _hann(WINDOW)
+    if kind == "chroma":
+        return _chroma_from_frames(frames)
     mag = np.abs(rfft(frames, WINDOW))
-    log_mel = _mel_from_mag(mag)
-    stacked = np.concatenate([log_mel, _chroma_from_frames(frames), _mfcc_from_mel(log_mel)], axis=1)
-    return aggregate(stacked)
+    log_mel = np.log1p((mag * mag) @ mel_filterbank().T)
+    mfcc = log_mel @ dct_ii_matrix(N_MELS)[:N_MFCC].T
+    if kind == "mel":
+        return log_mel
+    if kind == "mfcc":
+        return mfcc
+    return np.concatenate([log_mel, _chroma_from_frames(frames), mfcc], axis=1)
 
 
 def feature_vector(clip: np.ndarray, kind: str) -> np.ndarray:
     """One pooled feature vector for a clip; `kind` in mel/mfcc/chroma/aggregate."""
-    if kind == "mel":
-        return aggregate(mel_spectrogram(clip))
-    if kind == "mfcc":
-        return aggregate(mfcc(clip))
-    if kind == "chroma":
-        return aggregate(chroma(clip))
-    if kind == "aggregate":
-        return aggregate_handcrafted(clip)
-    raise ValueError(f"unknown feature kind: {kind!r}")
+    return aggregate(frame_features(clip, kind))

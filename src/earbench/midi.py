@@ -178,6 +178,8 @@ def decode_smf(data: bytes) -> MidiSequence:
         raise MidiParseError("SMPTE division not supported", 12)
     if data[14:18] != b"MTrk":
         raise MidiParseError("missing MTrk magic", 14)
+    if len(data) < 22:
+        raise MidiParseError("truncated track header", len(data))
     (tlen,) = struct.unpack(">I", data[18:22])
     end = 22 + tlen
     if end > len(data):

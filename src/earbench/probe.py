@@ -194,12 +194,16 @@ class TrainedProbe:
         return out
 
 
-def evaluate(probe: TrainedProbe, x: np.ndarray, y: np.ndarray) -> float:
-    """Accuracy for classification, R^2 for regression."""
-    out = probe.predict(x)
-    if probe.spec.task == "classification":
+def _score(task: str, out: np.ndarray, y: np.ndarray) -> float:
+    """Accuracy of the argmax for classification, R^2 of column 0 for regression."""
+    if task == "classification":
         return float(np.mean(out.argmax(axis=1) == y))
     return r2_score(y, out[:, 0])
+
+
+def evaluate(probe: TrainedProbe, x: np.ndarray, y: np.ndarray) -> float:
+    """Accuracy for classification, R^2 for regression."""
+    return _score(probe.spec.task, probe.predict(x), y)
 
 
 def r2_score(targets: np.ndarray, predictions: np.ndarray) -> float:
@@ -220,7 +224,9 @@ def train(
 ) -> tuple[TrainedProbe, ProbeResult]:
     """Minibatch Adam with early stopping on the validation metric.
 
-    Returns the probe restored to its best-validation checkpoint.
+    Returns the probe restored to its best-validation checkpoint. Raises
+    TrainingError on a non-finite training loss, and when no epoch gives a
+    finite validation metric (e.g. R^2 against constant validation targets).
     """
     x_train, y_train = train_xy
     x_val, y_val = val_xy
@@ -262,11 +268,7 @@ def train(
                 v_hat = adam_v[k] / (1 - ADAM_BETA2**step)
                 params[k] -= spec.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-        val_out, _ = _forward(spec, params, x_val)
-        if spec.task == "classification":
-            val_metric = float(np.mean(val_out.argmax(axis=1) == y_val))
-        else:
-            val_metric = r2_score(y_val, val_out[:, 0])
+        val_metric = _score(spec.task, _forward(spec, params, x_val)[0], y_val)
         if val_metric > best_metric:
             best_metric = val_metric
             best_epoch = epoch
@@ -277,6 +279,8 @@ def train(
             if stale >= patience:
                 break
 
+    if best_epoch < 0:
+        raise TrainingError(f"no finite validation metric in {epochs_run} epochs")
     probe.params = best
     result = ProbeResult(spec, best_epoch, epochs_run, float(best_metric), seed)
     return probe, result

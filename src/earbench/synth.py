@@ -297,6 +297,8 @@ def read_wav(data: bytes) -> tuple[np.ndarray, int]:
                 raise WavParseError(f"fmt chunk at offset {pos} holds {chunk_len} bytes, needs 16")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif chunk_id == b"data":
+            if chunk_len & 1:
+                raise WavParseError(f"data chunk at offset {pos} holds an odd {chunk_len} bytes of 16-bit samples")
             payload = body
         pos += 8 + chunk_len + (chunk_len & 1)
     if fmt is None or payload is None:

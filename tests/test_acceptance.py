@@ -18,6 +18,7 @@ from earbench import datasets, features, midi as smf, probe, synth, theory
 from earbench.cli import main
 from earbench.datasets import CONCEPTS, EXPECTED_COUNTS, LABEL_FIELDS
 from earbench.embeddings import read_embeddings_file, write_embeddings_file
+from earbench.parallel import parallel_map
 from earbench.seeds import derive_seed
 from random_midi import make_random_sequence
 
@@ -163,7 +164,7 @@ def test_criterion_6_chroma_argmax_all_pitch_classes():
         for octave in (2, 3, 4, 5, 6):
             f = synth.midi_to_hz(theory.note_from(pc, octave))
             tone = 0.5 * np.sin(2 * np.pi * f * t)
-            if int(np.argmax(features.chroma(tone).mean(axis=0))) != pc:
+            if int(np.argmax(features.frame_features(tone, "chroma").mean(axis=0))) != pc:
                 wrong.append((pc, octave))
     check(6, f"chroma argmax exact for 60 pure tones (octaves 2-6); wrong={wrong}", not wrong)
 
@@ -298,10 +299,7 @@ def test_grid_selection_beats_worst_config(corpus):
     x = matrix[keep].astype(np.float64)
     kept_records = [records[i] for i in keep]
     y = np.array([theory.CHORD_QUALITIES.index(r["quality"]) for r in kept_records])
-    assignment = datasets.make_split(kept_records, "chords", SEED)
-    idx = {name: [i for i, r in enumerate(kept_records) if assignment[r["id"]] == name]
-           for name in ("train", "validation", "test")}
-    splits = tuple((x[idx[n]], y[idx[n]]) for n in ("train", "validation", "test"))
+    splits = datasets.split_xy(x, y, kept_records, datasets.make_split(kept_records, "chords", SEED))
 
     selected, table = probe.grid_search(
         splits, "classification", 4, SEED, workers=WORKERS, max_epochs=40
@@ -320,12 +318,8 @@ def test_grid_selection_beats_worst_config(corpus):
 
 def test_notes_dataset_fully_voiced():
     """Every one of the 9,936 note configurations renders nonsilent audio."""
-    import multiprocessing
-
     records = datasets.build_records("notes", SEED)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(WORKERS) as pool:
-        energies = pool.map(_clip_energy, records, chunksize=64)
+    energies = parallel_map(_clip_energy, records, WORKERS)
     silent = [r["id"] for r, e in zip(records, energies) if e <= 1e-8]
     print(f"notes corpus: {len(records) - len(silent)}/{len(records)} nonsilent")
     assert not silent, f"silent configurations: {silent[:10]}"

@@ -17,6 +17,7 @@ from earbench.datasets import (
     make_split,
     read_manifest,
     render_sample,
+    split_xy,
     subsample_records,
     write_manifest,
 )
@@ -207,6 +208,17 @@ def test_split_deterministic(all_records):
     records = all_records["scales"]
     assert make_split(records, "scales", 3) == make_split(records, "scales", 3)
     assert make_split(records, "scales", 3) != make_split(records, "scales", 4)
+
+
+def test_split_xy_keeps_record_order_per_split():
+    records = [{"id": f"r{i}"} for i in range(6)]
+    names = ["test", "train", "validation", "train", "test", "train"]
+    assignment = {r["id"]: name for r, name in zip(records, names)}
+    x = np.arange(12).reshape(6, 2)
+    y = np.arange(6) * 10
+    (x_tr, y_tr), (x_va, y_va), (x_te, y_te) = split_xy(x, y, records, assignment)
+    assert y_tr.tolist() == [10, 30, 50] and y_va.tolist() == [20] and y_te.tolist() == [0, 40]
+    assert np.array_equal(x_tr, x[[1, 3, 5]]) and np.array_equal(x_te, x[[0, 4]])
 
 
 def test_subsample_stratified_ceil(all_records):

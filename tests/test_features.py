@@ -1,25 +1,23 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from earbench import features, synth
 from earbench.features import (
     FEATURE_DIMS,
+    FEATURE_KINDS,
     HOP,
     N_MELS,
     WINDOW,
     aggregate,
-    aggregate_handcrafted,
-    chroma,
     dct_ii_matrix,
     fft,
     feature_vector,
+    frame_features,
     hz_to_mel,
     mel_filterbank,
-    mel_power,
-    mel_spectrogram,
-    mfcc,
     rfft,
-    stft,
 )
 from earbench.synth import CLIP_SAMPLES, SAMPLE_RATE
 
@@ -27,6 +25,18 @@ from earbench.synth import CLIP_SAMPLES, SAMPLE_RATE
 def sine_clip(freq, amplitude=0.5, n=CLIP_SAMPLES):
     t = np.arange(n) / SAMPLE_RATE
     return amplitude * np.sin(2 * np.pi * freq * t)
+
+
+def record_rfft(monkeypatch):
+    """Patch `features.rfft` to keep every spectrum it returns; returns that list."""
+    spectra = []
+
+    def recording(signal, n=None):
+        spectra.append(rfft(signal, n))
+        return spectra[-1]
+
+    monkeypatch.setattr(features, "rfft", recording)
+    return spectra
 
 
 def test_fft_impulse_is_flat():
@@ -86,18 +96,39 @@ def test_fft_precision_follows_input():
         rfft(np.zeros(16), n=8)
 
 
-def test_stft_frame_count_and_silence():
-    silent = stft(np.zeros(CLIP_SAMPLES))
+def test_stft_frame_count_and_silence(monkeypatch):
+    spectra = record_rfft(monkeypatch)
+    mel = frame_features(np.zeros(CLIP_SAMPLES), "mel")
+    (silent,) = spectra
     assert silent.shape == (1 + (CLIP_SAMPLES - WINDOW) // HOP, WINDOW // 2 + 1)
-    assert silent.shape[0] == 169
+    assert silent.shape[0] == mel.shape[0] == 169
     assert np.all(silent == 0.0)
 
 
-def test_stft_sine_peak_bin():
-    spec = stft(sine_clip(440.0))
+def test_stft_sine_peak_bin(monkeypatch):
+    spectra = record_rfft(monkeypatch)
+    frame_features(sine_clip(440.0), "mel")
     expected_bin = round(440 * WINDOW / SAMPLE_RATE)
     assert expected_bin == 41
-    assert np.all(spec.argmax(axis=1) == expected_bin)
+    assert np.all(np.abs(spectra[0]).argmax(axis=1) == expected_bin)
+
+
+def test_rfft_calls_per_kind(monkeypatch):
+    """One transform per kind; only chroma and aggregate run chroma's padded one."""
+    spectra = record_rfft(monkeypatch)
+    widths = {}
+    for kind in FEATURE_KINDS:
+        feature_vector(sine_clip(440.0), kind)
+        widths[kind] = [s.shape[1] for s in spectra]
+        spectra.clear()
+    mel_bins = WINDOW // 2 + 1
+    chroma_bins = WINDOW * features.CHROMA_PAD // 2 + 1
+    assert widths == {
+        "mel": [mel_bins],
+        "mfcc": [mel_bins],
+        "chroma": [chroma_bins],
+        "aggregate": [mel_bins, chroma_bins],
+    }
 
 
 def test_mel_filterbank_shape_and_coverage():
@@ -112,11 +143,11 @@ def test_mel_filterbank_shape_and_coverage():
 
 
 def test_mel_silence_is_zero():
-    assert np.all(mel_spectrogram(np.zeros(CLIP_SAMPLES)) == 0.0)
+    assert np.all(frame_features(np.zeros(CLIP_SAMPLES), "mel") == 0.0)
 
 
 def test_mel_sine_lands_in_analytic_filter():
-    mel = mel_power(sine_clip(440.0))
+    mel = np.expm1(frame_features(sine_clip(440.0), "mel"))  # undo log(1 + S)
     mel_edges = np.linspace(0.0, float(hz_to_mel(SAMPLE_RATE / 2)), N_MELS + 2)
     analytic = float(hz_to_mel(440.0))
     expected = int(np.argmin(np.abs(mel_edges[1:-1] - analytic)))
@@ -125,7 +156,7 @@ def test_mel_sine_lands_in_analytic_filter():
 
 
 def test_mfcc_shape_and_silence():
-    out = mfcc(np.zeros(CLIP_SAMPLES))
+    out = frame_features(np.zeros(CLIP_SAMPLES), "mfcc")
     assert out.shape == (169, 20)
     assert np.all(out == 0.0)
 
@@ -150,8 +181,8 @@ def test_mfcc_gain_shift_only_moves_coefficient_zero(rng):
     gain = 0.5
     eps = 1e-10
     d20 = dct_ii_matrix(N_MELS)[:20]
-    c1 = np.log(mel_power(clip) + eps) @ d20.T
-    c2 = np.log(mel_power(gain * clip) + eps) @ d20.T
+    c1 = np.log(np.expm1(frame_features(clip, "mel")) + eps) @ d20.T
+    c2 = np.log(np.expm1(frame_features(gain * clip, "mel")) + eps) @ d20.T
     delta = c2 - c1
     assert np.max(np.abs(delta[:, 1:])) < 1e-6
     expected_shift = np.log(gain**2) * np.sqrt(N_MELS)
@@ -159,7 +190,7 @@ def test_mfcc_gain_shift_only_moves_coefficient_zero(rng):
 
 
 def test_chroma_sine_at_440_is_a():
-    ch = chroma(sine_clip(440.0))
+    ch = frame_features(sine_clip(440.0), "chroma")
     voiced = ch[ch.sum(axis=1) > 0]
     assert len(voiced) == 169
     assert np.all(voiced.argmax(axis=1) == 9)  # A
@@ -179,7 +210,7 @@ def test_chroma_two_bin_plateau_counts_once(monkeypatch):
 
 
 def test_chroma_silence_is_zero():
-    assert np.all(chroma(np.zeros(CLIP_SAMPLES)) == 0.0)
+    assert np.all(frame_features(np.zeros(CLIP_SAMPLES), "chroma") == 0.0)
 
 
 def test_chroma_rendered_major_triad_top3():
@@ -195,7 +226,7 @@ def test_chroma_rendered_major_triad_top3():
         "reverb_level": "dry",
         "rng_seed": 0,
     }
-    ch = chroma(render_sample(record))
+    ch = frame_features(render_sample(record), "chroma")
     voiced = ch[ch.sum(axis=1) > 0]
     for frame in voiced:
         assert set(np.argsort(frame)[-3:]) == {0, 4, 7}
@@ -231,18 +262,22 @@ def test_feature_dims():
 
 
 def test_feature_unknown_kind():
-    with pytest.raises(ValueError):
-        feature_vector(sine_clip(440.0), "plp")
+    for extract in (frame_features, feature_vector):
+        with pytest.raises(ValueError, match="unknown feature kind"):
+            extract(sine_clip(440.0), "plp")
 
 
 def test_aggregate_handcrafted_silence_and_order(rng):
-    assert np.all(aggregate_handcrafted(np.zeros(CLIP_SAMPLES)) == 0.0)
+    assert np.all(feature_vector(np.zeros(CLIP_SAMPLES), "aggregate") == 0.0)
     clip = rng.standard_normal(CLIP_SAMPLES) * 0.2
-    combined = aggregate_handcrafted(clip)
+    stacked = frame_features(clip, "aggregate")
+    assert np.array_equal(stacked[:, :N_MELS], frame_features(clip, "mel"))
+    assert np.array_equal(stacked[:, N_MELS : N_MELS + 12], frame_features(clip, "chroma"))
+    assert np.array_equal(stacked[:, N_MELS + 12 :], frame_features(clip, "mfcc"))
+    combined = feature_vector(clip, "aggregate")
+    assert np.array_equal(combined, aggregate(stacked))
     # aggregate-then-concatenate is a different vector than concatenate-then-aggregate
-    per_feature = np.concatenate(
-        [aggregate(mel_spectrogram(clip)), aggregate(chroma(clip)), aggregate(mfcc(clip))]
-    )
+    per_feature = np.concatenate([feature_vector(clip, kind) for kind in ("mel", "chroma", "mfcc")])
     assert combined.shape == per_feature.shape == (960,)
     assert not np.allclose(combined, per_feature)
 
@@ -264,12 +299,43 @@ def test_time_shift_robust_mean_pooling():
     onsets_b = [(t + period_s, d) for t, d in onsets_a if t + period_s < 4.0]
     clip_a = render_clicks(onsets_a, CLICK_SETTINGS[1])
     clip_b = render_clicks(onsets_b, CLICK_SETTINGS[1])
-    mel_a = mel_spectrogram(clip_a)
-    mel_b = mel_spectrogram(clip_b)
+    mel_a = frame_features(clip_a, "mel")
+    mel_b = frame_features(clip_b, "mel")
     interior_a = mel_a[10 : 169 - 32].mean(axis=0)
     interior_b = mel_b[10 + 22 : 169 - 10].mean(axis=0)
     rel = np.linalg.norm(interior_a - interior_b) / np.linalg.norm(interior_a)
     assert rel < 1e-3
+
+
+# sha256 of each feature_vector's float64 bytes at seed 11
+PINNED_FEATURE_SHA256 = {
+    "chord_p00_augmented_first_i01": {
+        "mel": "d7ea4f119f8534ccd8247fdf90689697aabee9772e3fc0fba5660304880c8407",
+        "mfcc": "5fda38d32dee26d2c1e2822fe5e450ed470e4774c90f2f8830068b1d4a321790",
+        "chroma": "d1ad762ace186feb9fa1731e4f39d7b8c5db8e3ee7a0e9eacefc9c77de11e246",
+        "aggregate": "92147a9db5ae248a2da7e71fce4150413c5bd365bda57f0bd20bdc3d80c500d7",
+    },
+    "timesig_02-2_r0_c0_o5": {
+        "mel": "b8193391c9a764098200bfaf56433a2b208fc8eb1aadb18e1830c609f58d27cb",
+        "mfcc": "00009eb480e0ed560b31597e717c0f90a064bf7acd3c04d8fa2ec0c0b5006b31",
+        "chroma": "01fb45cf5c82c26e7ee00d6eacb3b82c491b45b5ea829464f36d0869f61a0216",
+        "aggregate": "16f00249ddddba02a3c7102f064ba365833ea756d7918dbb87ca95caf8b5e696",
+    },
+}
+
+
+def render_by_id(sample_id):
+    from earbench.datasets import build_records, render_sample
+
+    concept = "chords" if sample_id.startswith("chord") else "time_signatures"
+    return render_sample(next(r for r in build_records(concept, 11) if r["id"] == sample_id))
+
+
+@pytest.mark.parametrize("sample_id", sorted(PINNED_FEATURE_SHA256))
+def test_feature_vector_bytes_pinned(sample_id):
+    clip = render_by_id(sample_id)
+    got = {kind: hashlib.sha256(feature_vector(clip, kind).tobytes()).hexdigest() for kind in FEATURE_KINDS}
+    assert got == PINNED_FEATURE_SHA256[sample_id]
 
 
 def _matrix_dft_rfft(signal, n=None):
@@ -304,14 +370,10 @@ def test_feature_vectors_match_matrix_dft_reference(sample_id, monkeypatch):
     has near-tied spectral peaks, so a less accurate float32 transform moves
     its chroma by far more than the tolerance.
     """
-    from earbench.datasets import build_records, render_sample
-
-    concept = "chords" if sample_id.startswith("chord") else "time_signatures"
-    record = next(r for r in build_records(concept, 11) if r["id"] == sample_id)
-    clip = render_sample(record)
-    got = {kind: feature_vector(clip, kind) for kind in features.FEATURE_KINDS}
+    clip = render_by_id(sample_id)
+    got = {kind: feature_vector(clip, kind) for kind in FEATURE_KINDS}
     monkeypatch.setattr(features, "rfft", _matrix_dft_rfft)
-    for kind in features.FEATURE_KINDS:
+    for kind in FEATURE_KINDS:
         ref = feature_vector(clip, kind)
         err = np.abs(got[kind] - ref)
         f32 = _chroma_dims(kind)

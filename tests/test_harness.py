@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 import time
 from pathlib import Path
 
@@ -45,8 +46,21 @@ def test_embedding_truncated_payload(rng):
 
 
 def test_embedding_zero_dim_names_offset():
+    header = MAGIC + struct.pack("<II", 0, 1) + struct.pack("<I", 1) + b"a"
     with pytest.raises(EmbeddingFormatError, match="dim 0 at offset 7"):
-        read_embeddings(write_embeddings(["a"], np.zeros((1, 0), dtype=np.float32)))
+        read_embeddings(header)
+
+
+def test_embedding_writer_rejects_zero_columns():
+    with pytest.raises(ValueError, match="no columns"):
+        write_embeddings(["a"], np.zeros((1, 0), dtype=np.float32))
+
+
+def test_embedding_non_utf8_id_names_offset():
+    data = write_embeddings(["ab"], np.ones((1, 2), dtype=np.float32))
+    bad = data.replace(b"ab", b"a\xff")
+    with pytest.raises(EmbeddingFormatError, match="id at offset 19 is not UTF-8"):
+        read_embeddings(bad)
 
 
 def test_embedding_trailing_bytes_name_offset(rng):

@@ -89,6 +89,13 @@ def test_truncated_track_parse_error():
         decode_smf(data[:-3])
 
 
+def test_file_ending_after_track_magic_names_offset():
+    data = encode_smf(MidiSequence(480, [MidiEvent(0, EndOfTrack())]))[:18]
+    with pytest.raises(MidiParseError, match="truncated track header") as exc:
+        decode_smf(data)
+    assert exc.value.offset == 18
+
+
 def test_bad_magic():
     with pytest.raises(MidiParseError) as exc:
         decode_smf(b"RIFF" + b"\x00" * 20)

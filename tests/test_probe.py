@@ -116,6 +116,15 @@ def test_non_finite_loss_reports_position(rng):
         train(spec, (x, y), (x, y), seed=0, max_epochs=1)
 
 
+def test_constant_validation_targets_raise(rng):
+    x = rng.standard_normal((40, 3))
+    y = x @ np.array([1.0, -2.0, 0.5])
+    x_val = rng.standard_normal((10, 3))
+    spec = ProbeSpec(False, "linear", 16, 1e-3, 0.0, 0.0, "regression")
+    with pytest.raises(TrainingError, match="no finite validation metric in 10 epochs"):
+        train(spec, (x, y), (x_val, np.full(10, 5.0)), seed=0, max_epochs=30)
+
+
 def test_r2_identities(rng):
     y = rng.standard_normal(100)
     assert r2_score(y, y.copy()) == 1.0

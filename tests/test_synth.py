@@ -262,3 +262,11 @@ def test_wav_short_fmt_chunk_names_offset():
     short = good[:16] + (8).to_bytes(4, "little") + good[20:28] + good[36:]
     with pytest.raises(WavParseError, match="offset 12"):
         read_wav(short)
+
+
+def test_wav_odd_data_chunk_names_offset():
+    good = write_wav(np.zeros(100))
+    # the data chunk header sits at offset 36; drop its last byte and say so
+    odd = good[:40] + (199).to_bytes(4, "little") + good[44:-1]
+    with pytest.raises(WavParseError, match="data chunk at offset 36 holds an odd 199 bytes"):
+        read_wav(odd)
