@@ -100,19 +100,17 @@ def cmd_generate(args, parser):
     return 0
 
 
-def _extract_one(job):
-    wav_path, kind = job
-    clip, rate = synth.read_wav(Path(wav_path).read_bytes())
-    if rate != synth.SAMPLE_RATE or len(clip) != synth.CLIP_SAMPLES:
-        raise ValueError(f"unexpected clip format in {wav_path}: rate={rate} len={len(clip)}")
-    return feature_vector(clip, kind).astype(np.float32)
-
-
 def cmd_extract(args):
     concept_dir = Path(args.data) / args.concept
     records = datasets.read_manifest(concept_dir / "manifest.jsonl")
-    jobs = [(str(concept_dir / r["wav_path"]), args.feature) for r in records]
-    rows = parallel_map(_extract_one, jobs, args.workers or 1)
+
+    def extract_one(wav_path):
+        clip, rate = synth.read_wav(wav_path.read_bytes())
+        if rate != synth.SAMPLE_RATE or len(clip) != synth.CLIP_SAMPLES:
+            raise ValueError(f"unexpected clip format in {wav_path}: rate={rate} len={len(clip)}")
+        return feature_vector(clip, args.feature).astype(np.float32)
+
+    rows = parallel_map(extract_one, [concept_dir / r["wav_path"] for r in records], args.workers or 1)
     matrix = np.stack(rows)
     write_embeddings_file(args.out, [r["id"] for r in records], matrix)
     print(f"{args.concept}/{args.feature}: {matrix.shape[0]} vectors, dim {matrix.shape[1]} -> {args.out}")

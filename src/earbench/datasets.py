@@ -337,16 +337,6 @@ def subsample_records(records: list[dict], concept: str, fraction: float, seed: 
 # materialization
 
 
-def _write_one(args):
-    concept_dir, record = args
-    concept_dir = Path(concept_dir)
-    seq = build_midi(record)
-    (concept_dir / record["midi_path"]).write_bytes(smf.encode_smf(seq))
-    clip = render_sample(record)
-    (concept_dir / record["wav_path"]).write_bytes(synth.write_wav(clip))
-    return record["id"]
-
-
 def write_manifest(records: list[dict], path: Path):
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
@@ -379,5 +369,10 @@ def generate_concept(
         return records
     (concept_dir / "midi").mkdir(exist_ok=True)
     (concept_dir / "audio").mkdir(exist_ok=True)
-    parallel_map(_write_one, [(str(concept_dir), r) for r in records], workers)
+
+    def write_one(record):
+        (concept_dir / record["midi_path"]).write_bytes(smf.encode_smf(build_midi(record)))
+        (concept_dir / record["wav_path"]).write_bytes(synth.write_wav(render_sample(record)))
+
+    parallel_map(write_one, records, workers)
     return records

@@ -1,8 +1,9 @@
 """The one worker pool of the CPU-bound stages: render, extract, probe grid.
 
-Workers are forked, so they inherit modules and data without pickling. Each
-runs numpy's bundled OpenBLAS on one thread: the pool already keeps every
-core busy, and more BLAS threads would only contend for the same cores.
+Workers are forked, so they inherit modules, data and the job function
+itself without pickling. Each runs numpy's bundled OpenBLAS on one thread:
+the pool already keeps every core busy, and more BLAS threads would only
+contend for the same cores.
 """
 
 import ctypes
@@ -25,26 +26,35 @@ def openblas_function(name: str):
     return None
 
 
-def _start_worker(init, initargs):
+_FN = None  # the job function of this pool worker, set by _start_worker
+
+
+def _start_worker(fn):
+    global _FN
+    _FN = fn
     set_threads = openblas_function("set_num_threads")
     if set_threads is not None:
         set_threads.argtypes = [ctypes.c_int]
         set_threads.restype = None
         set_threads(1)
-    if init is not None:
-        init(*initargs)
 
 
-def parallel_map(fn, jobs, workers: int, init=None, initargs=()) -> list:
+def _run(job):
+    return _FN(job)
+
+
+def parallel_map(fn, jobs, workers: int) -> list:
     """[fn(job) for job in jobs] in job order, over `workers` forked processes.
 
-    With `workers` <= 1 the jobs run here, with this process's BLAS threads,
-    and `init` is not called; otherwise `init(*initargs)` runs once in each
-    worker. Jobs go out one at a time, so uneven costs balance.
+    `fn` reaches the workers as the pool initializer's argument, which fork
+    inherits, so it is never pickled and may be a closure over large arrays;
+    only the jobs and results are. With `workers` <= 1 the jobs run here,
+    with this process's BLAS threads. Jobs go out one at a time, so uneven
+    costs balance.
     """
     if workers <= 1:
         return [fn(job) for job in jobs]
     import multiprocessing  # here, so that runs without a pool do not load it
 
-    with multiprocessing.get_context("fork").Pool(workers, _start_worker, (init, initargs)) as pool:
-        return pool.map(fn, jobs, chunksize=1)
+    with multiprocessing.get_context("fork").Pool(workers, _start_worker, (fn,)) as pool:
+        return pool.map(_run, jobs, chunksize=1)

@@ -34,10 +34,6 @@ class TrainingError(RuntimeError):
     pass
 
 
-class GradientCheckError(AssertionError):
-    pass
-
-
 @dataclass(frozen=True)
 class ProbeSpec:
     normalize: bool
@@ -286,70 +282,9 @@ def train(
     return probe, result
 
 
-def gradient_check(
-    spec: ProbeSpec,
-    params: dict,
-    x: np.ndarray,
-    y: np.ndarray,
-    h: float = 1e-5,
-    tol: float | None = None,
-):
-    """Analytic vs central finite-difference gradients on one batch.
-
-    Dropout is excluded (masks are not differentiable surprises we want
-    here). Returns (max relative error, worst parameter label); raises
-    GradientCheckError when `tol` is given and exceeded.
-    """
-    _, analytic = batch_loss(spec, params, x, y, dropout_rng=None)
-    worst_err = 0.0
-    worst_name = ""
-    for name, arr in params.items():
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up, _ = batch_loss(spec, params, x, y)
-            flat[i] = orig - h
-            down, _ = batch_loss(spec, params, x, y)
-            flat[i] = orig
-            numeric = (up - down) / (2 * h)
-            a = analytic[name].reshape(-1)[i]
-            scale = max(abs(a), abs(numeric))
-            if scale < 1e-7:
-                continue  # both gradients vanish; central differences only add noise
-            err = abs(a - numeric) / scale
-            if err > worst_err:
-                worst_err = err
-                worst_name = f"{name}[{i}]"
-    if tol is not None and worst_err > tol:
-        raise GradientCheckError(
-            f"gradient mismatch {worst_err:.3e} > {tol:.1e} at {worst_name}"
-        )
-    return worst_err, worst_name
-
-
-def _selection_key(result: ProbeResult):
-    """Smaller is better: highest validation metric, then the spec's tie-break."""
-    return (-result.val_metric, result.spec.sort_key())
-
-
 def select_best(results: list[ProbeResult]) -> int:
-    """Index of the winner: highest validation metric, deterministic tie-break."""
-    return min(range(len(results)), key=lambda i: _selection_key(results[i]))
-
-
-_WORKER_DATA = {}
-
-
-def _worker_init(train_xy, val_xy, max_epochs, patience):
-    _WORKER_DATA["args"] = (train_xy, val_xy, max_epochs, patience)
-
-
-def _worker_train(job):
-    spec, seed = job
-    train_xy, val_xy, max_epochs, patience = _WORKER_DATA["args"]
-    _, result = train(spec, train_xy, val_xy, seed, max_epochs, patience)
-    return result
+    """Index of the winner: highest validation metric, then the spec's tie-break."""
+    return min(range(len(results)), key=lambda i: (-results[i].val_metric, results[i].spec.sort_key()))
 
 
 def grid_search(
@@ -371,21 +306,19 @@ def grid_search(
     train_xy, val_xy, test_xy = data_splits
     if specs is None:
         specs = grid_specs(task, n_classes)
-    jobs = [(spec, derive_seed(seed, "probe-config", i)) for i, spec in enumerate(specs)]
-    if workers > 1 and len(specs) > 1:
-        data = (train_xy, val_xy, max_epochs, patience)
-        results = parallel_map(_worker_train, jobs, workers, _worker_init, data)
+    seeds = [derive_seed(seed, "probe-config", i) for i in range(len(specs))]
+
+    def fit(i):
+        return train(specs[i], train_xy, val_xy, seeds[i], max_epochs, patience)
+
+    if len(specs) == 1:
+        probe, result = fit(0)
+        results, winner = [result], 0
+    else:
+        results = parallel_map(lambda i: fit(i)[1], range(len(specs)), workers)
         winner = select_best(results)
         # retrain the winner (same derived seed, so bit-identical) for the one test pass
-        probe, _ = train(specs[winner], train_xy, val_xy, jobs[winner][1], max_epochs, patience)
-    else:
-        results: list[ProbeResult | None] = [None] * len(specs)
-        best = None
-        for i, (spec, cfg_seed) in enumerate(jobs):
-            candidate, results[i] = train(spec, train_xy, val_xy, cfg_seed, max_epochs, patience)
-            key = _selection_key(results[i])
-            if best is None or key < best:
-                best, winner, probe = key, i, candidate
+        probe, _ = fit(winner)
     test_metric = evaluate(probe, *test_xy)
     results[winner] = replace(results[winner], test_metric=test_metric)
     return results[winner], results

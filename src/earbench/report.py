@@ -28,8 +28,6 @@ ROW_TITLES = {
     "aggregate": "Aggregate Handcrafted",
 }
 
-_PREFERRED_ROW_ORDER = ["mel", "mfcc", "chroma", "aggregate"]
-
 
 def load_result_cells(results_dir) -> dict[tuple[str, str], float]:
     """(representation, concept) -> selected test metric, from every CSV in the dir."""
@@ -46,8 +44,7 @@ def load_result_cells(results_dir) -> dict[tuple[str, str], float]:
 def build_table(cells: dict[tuple[str, str], float]):
     """Rows of (representation, {concept: value}, average, n_present)."""
     reps = {rep for rep, _ in cells}
-    ordered = [r for r in _PREFERRED_ROW_ORDER if r in reps]
-    ordered += sorted(reps - set(_PREFERRED_ROW_ORDER))
+    ordered = [r for r in ROW_TITLES if r in reps] + sorted(reps - set(ROW_TITLES))
     table = []
     for rep in ordered:
         values = {c: cells[(rep, c)] for c in CONCEPT_COLUMNS if (rep, c) in cells}
@@ -60,8 +57,12 @@ def _cell(values, concept):
     return f"{values[concept]:.3f}" if concept in values else MISSING_CELL
 
 
+def _present_concepts(table) -> list[str]:
+    return [c for c in CONCEPT_COLUMNS if any(c in values for _, values, _, _ in table)]
+
+
 def render_markdown(table) -> str:
-    concepts = [c for c in CONCEPT_COLUMNS if any(c in values for _, values, _, _ in table)]
+    concepts = _present_concepts(table)
     header = ["Representation"] + [COLUMN_TITLES[c] for c in concepts] + ["Average"]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     partial = False
@@ -84,7 +85,7 @@ def render_markdown(table) -> str:
 
 
 def render_csv(table) -> str:
-    concepts = [c for c in CONCEPT_COLUMNS if any(c in values for _, values, _, _ in table)]
+    concepts = _present_concepts(table)
     lines = [",".join(["representation"] + concepts + ["average", "concepts_present"])]
     for rep, values, average, n_present in table:
         cells = [_cell(values, c) for c in concepts]

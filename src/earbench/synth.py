@@ -212,25 +212,24 @@ _ALLPASS_GAIN = 0.7
 _REVERB_TIME_S = {"medium": 1.2, "spacious": 2.5}
 
 
-def _comb(x, delay, g):
-    # scaled to unit DC gain so the wet path stays at the dry signal's level
-    y = x.copy()
-    gain, offset = g, delay
-    while offset < len(x) and gain > 1e-8:
-        y[offset:] += gain * x[: len(x) - offset]
-        gain *= g
-        offset += delay
-    return (1.0 - g) * y
-
-
-def _allpass(x, delay, g):
-    y = -g * x
-    gain, offset = 1.0 - g * g, delay
+def _add_echoes(y, x, delay, g, gain):
+    """y += gain * g**k * x delayed by (k + 1) * delay for k = 0, 1, ..., until the gain
+    falls to 1e-8 or the delay reaches the clip end; returns y."""
+    offset = delay
     while offset < len(x) and gain > 1e-8:
         y[offset:] += gain * x[: len(x) - offset]
         gain *= g
         offset += delay
     return y
+
+
+def _comb(x, delay, g):
+    # scaled to unit DC gain so the wet path stays at the dry signal's level
+    return (1.0 - g) * _add_echoes(x.copy(), x, delay, g, g)
+
+
+def _allpass(x, delay, g):
+    return _add_echoes(-g * x, x, delay, g, 1.0 - g * g)
 
 
 def apply_reverb(clip: np.ndarray, level: str) -> np.ndarray:
@@ -281,8 +280,9 @@ def write_wav(clip: np.ndarray, sample_rate: int = SAMPLE_RATE) -> bytes:
 
 def read_wav(data: bytes) -> tuple[np.ndarray, int]:
     """Decode PCM16 mono WAV bytes; returns (samples in [-1, 1], sample_rate)."""
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavParseError("not a RIFF/WAVE file")
+    for offset, tag in ((0, b"RIFF"), (8, b"WAVE")):
+        if data[offset : offset + 4] != tag:
+            raise WavParseError(f"not a RIFF/WAVE file: no {tag.decode()} tag at offset {offset}")
     pos = 12
     fmt = None
     payload = None
@@ -302,7 +302,7 @@ def read_wav(data: bytes) -> tuple[np.ndarray, int]:
             payload = body
         pos += 8 + chunk_len + (chunk_len & 1)
     if fmt is None or payload is None:
-        raise WavParseError("missing fmt or data chunk")
+        raise WavParseError(f"missing fmt or data chunk: the chunk walk ended at offset {pos}")
     audio_format, channels, sample_rate, _, _, bits = fmt
     if audio_format != 1 or channels != 1 or bits != 16:
         raise WavParseError(f"unsupported WAV encoding: format={audio_format} ch={channels} bits={bits}")

@@ -20,6 +20,7 @@ from earbench.datasets import CONCEPTS, EXPECTED_COUNTS, LABEL_FIELDS
 from earbench.embeddings import read_embeddings_file, write_embeddings_file
 from earbench.parallel import parallel_map
 from earbench.seeds import derive_seed
+from probe_gradients import gradient_check
 from random_midi import make_random_sequence
 
 SEED = 11
@@ -188,7 +189,7 @@ def test_criterion_6_gradient_checks():
                 }
             x = rng.standard_normal((5, 4))
             y = rng.integers(0, 3, size=5) if task == "classification" else rng.standard_normal(5)
-            err, _ = probe.gradient_check(spec, params, x, y)
+            err, _ = gradient_check(spec, params, x, y)
             worst = max(worst, err)
             cases.append(f"{model}/{task}:{err:.1e}")
     check(6, f"gradient checks ({', '.join(cases)})", worst <= 1e-4)

@@ -1,5 +1,6 @@
 import ctypes
 
+import numpy as np
 import pytest
 
 from earbench.parallel import openblas_function, parallel_map
@@ -20,6 +21,15 @@ def test_parallel_map_keeps_job_order():
     jobs = list(range(23))
     assert parallel_map(_square, jobs, 2) == [x * x for x in jobs]
     assert parallel_map(_square, jobs, 1) == [x * x for x in jobs]
+
+
+def test_parallel_map_runs_a_closure_over_local_data():
+    table = np.arange(12.0).reshape(4, 3)
+
+    def row_sum(i):
+        return float(table[i].sum())
+
+    assert parallel_map(row_sum, range(4), 2) == [3.0, 12.0, 21.0, 30.0]
 
 
 def test_pool_workers_run_one_blas_thread():

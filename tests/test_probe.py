@@ -3,12 +3,10 @@ import pytest
 
 from earbench import probe
 from earbench.probe import (
-    GradientCheckError,
     ProbeSpec,
     TrainingError,
     batch_loss,
     evaluate,
-    gradient_check,
     grid_search,
     grid_specs,
     lm_default_spec,
@@ -18,6 +16,7 @@ from earbench.probe import (
     select_best,
     train,
 )
+from probe_gradients import GradientCheckError, gradient_check
 
 
 def blobs(rng, n_per=60, d=8, separation=4.0):
@@ -243,6 +242,26 @@ def test_grid_search_contract(rng):
     assert selected.val_metric == max(r.val_metric for r in table)
     assert selected.test_metric is not None
     assert sum(1 for r in table if r.test_metric is not None) == 1
+
+
+@pytest.mark.parametrize("n_specs", [1, 3])
+def test_grid_search_trains_each_spec_then_the_winner(rng, monkeypatch, n_specs):
+    calls = []
+    real_train = probe.train
+
+    def counting_train(*args):  # positional only, as grid_search calls it
+        calls.append(args[0])
+        return real_train(*args)
+
+    monkeypatch.setattr(probe, "train", counting_train)
+    x, y = blobs(rng, n_per=40)
+    splits = ((x[:50], y[:50]), (x[50:65], y[50:65]), (x[65:], y[65:]))
+    specs = [ProbeSpec(False, "linear", 64, lr, 0.25, 0.0, "classification", 2) for lr in (1e-5, 1e-4, 1e-3)]
+    selected, table = grid_search(splits, "classification", 2, seed=4, specs=specs[:n_specs], max_epochs=5)
+    # one training for a single spec; k > 1 specs train once each, then the winner once more
+    assert len(calls) == (1 if n_specs == 1 else n_specs + 1)
+    assert calls[-1] == selected.spec
+    assert len(table) == n_specs
 
 
 def test_grid_search_parallel_matches_serial(rng):

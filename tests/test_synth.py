@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,19 @@ def test_reverb_impulse_tail(level):
     assert np.max(np.abs(out)) <= 1.0
 
 
+# sha256 of apply_reverb's float64 bytes on a fixed click clip
+REVERB_SHA256 = {
+    "medium": "a6dbf09e121472a00eb8580b4d3f99ea82c4e0bb2d91eed83da988b68380a05f",
+    "spacious": "0802f77a26c9667829626037388d20f8955a9a4d9fd31fb552e7fdfa56d2b696",
+}
+
+
+@pytest.mark.parametrize("level", sorted(REVERB_SHA256))
+def test_reverb_bytes_pinned(level):
+    clip = render_clicks([(0.25 * i, i % 4 == 0) for i in range(16)], CLICK_SETTINGS[2])
+    assert hashlib.sha256(apply_reverb(clip, level).tobytes()).hexdigest() == REVERB_SHA256[level]
+
+
 def test_reverb_lengthens_decay():
     clip = render_clicks([(0.5, True)], CLICK_SETTINGS[0])
     wet = apply_reverb(clip, "spacious")
@@ -254,6 +269,35 @@ def test_wav_malformed_input():
     good = write_wav(np.zeros(100))
     with pytest.raises(WavParseError):
         read_wav(good[:20])
+
+
+@pytest.mark.parametrize(
+    "data,where",
+    [
+        (b"not a wav file at all", "no RIFF tag at offset 0"),
+        (b"RIFX1234WAVE", "no RIFF tag at offset 0"),
+        (b"RIFF1234WAVX", "no WAVE tag at offset 8"),
+        (b"RIFF1234", "no WAVE tag at offset 8"),
+    ],
+)
+def test_wav_not_riff_wave_names_tag_offset(data, where):
+    with pytest.raises(WavParseError, match=f"not a RIFF/WAVE file: {where}"):
+        read_wav(data)
+
+
+@pytest.mark.parametrize(
+    "cut,walk_end",
+    [
+        (lambda good: good[:36], 36),  # fmt chunk only, nothing after it
+        (lambda good: good[:12] + good[36:], 220),  # data chunk only: 12 + 8 + 200 bytes
+        (lambda good: good[:40], 36),  # a data chunk header cut short
+    ],
+    ids=["fmt-only", "data-only", "short-data-header"],
+)
+def test_wav_missing_chunk_names_walk_end(cut, walk_end):
+    good = write_wav(np.zeros(100))
+    with pytest.raises(WavParseError, match=f"missing fmt or data chunk: the chunk walk ended at offset {walk_end}$"):
+        read_wav(cut(good))
 
 
 def test_wav_short_fmt_chunk_names_offset():
