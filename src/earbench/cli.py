@@ -163,13 +163,13 @@ def write_result_csv(path, concept, representation, results, seed):
 def cmd_probe(args):
     concept_dir = Path(args.data) / args.concept
     records = datasets.read_manifest(concept_dir / "manifest.jsonl")
-    ids, matrix = read_embeddings_file(args.embeddings)
-    x = ingest_embeddings(ids, matrix, records).astype(np.float64)
+    x = ingest_embeddings(*read_embeddings_file(args.embeddings), records)
     y, classes = class_labels(records, args.concept)
     task = datasets.CONCEPT_TASKS[args.concept]
     n_classes = len(classes) if classes else 0
     assignment = datasets.make_split(records, args.concept, args.seed)
     splits = datasets.split_xy(x, y, records, assignment)
+    del x  # only the split copies need to stay alive through training
     specs = None if args.grid else [probe.lm_default_spec(task, n_classes)]
     selected, results = probe.grid_search(
         splits, task, n_classes, args.seed, specs=specs, workers=args.workers or 1

@@ -2,13 +2,17 @@
 
 Training is plain minibatch Adam in numpy with cross-entropy (classification)
 or MSE (regression), optional input normalization, hidden-layer dropout and
-an additive L2 penalty. Every run is a deterministic function of
+an additive L2 penalty. It runs in float32: `train` allocates its
+parameters, gradients, Adam moments and batch-sized activations once, then
+updates them in place. `batch_loss` follows the dtype of its inputs, so the
+gradient checks run it in float64. Every run is a deterministic function of
 (spec, data, seed), including batch order and dropout masks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,96 +88,162 @@ class ProbeResult:
 
 
 def normalize_fit(train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension mean and std from the training split only."""
+    """Per-dimension mean and std from the training split only, in its dtype.
+
+    Sums accumulate in float64; the one full-size temporary is in the input's dtype.
+    """
     if len(train_x) == 0:
         raise ValueError("cannot fit normalization on an empty matrix")
-    return train_x.mean(axis=0), train_x.std(axis=0)
+    mean = train_x.mean(axis=0, dtype=np.float64).astype(train_x.dtype)
+    centred = train_x - mean
+    np.square(centred, out=centred)
+    std = np.sqrt(centred.mean(axis=0, dtype=np.float64))
+    return mean, std.astype(train_x.dtype)
 
 
 def normalize_apply(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return (x - mean) / np.maximum(std, NORMALIZE_EPS)
+    out = x - mean
+    out /= np.maximum(std, NORMALIZE_EPS)
+    return out
 
 
-def _init_params(spec: ProbeSpec, d_in: int, rng: np.random.Generator, y_train=None) -> dict:
+def _views(flat: np.ndarray, shapes: dict) -> dict:
+    """Named arrays of the given shapes, laid end to end as views into `flat`."""
+    views, lo = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[lo : lo + size].reshape(shape)
+        lo += size
+    return views
+
+
+def _init_params(spec: ProbeSpec, d_in: int, rng: np.random.Generator, y_train=None):
+    """(flat float32 buffer, dict of named parameter views into it)."""
     d_out = spec.n_classes if spec.task == "classification" else 1
     if spec.model == "linear":
-        params = {"W": np.zeros((d_in, d_out)), "b": np.zeros(d_out)}
+        shapes = {"W": (d_in, d_out), "b": (d_out,)}
     elif spec.model == "mlp":
-        params = {
-            "W1": rng.standard_normal((d_in, HIDDEN_UNITS)) * np.sqrt(2.0 / d_in),
-            "b1": np.zeros(HIDDEN_UNITS),
-            "W2": rng.standard_normal((HIDDEN_UNITS, d_out)) * np.sqrt(2.0 / HIDDEN_UNITS),
-            "b2": np.zeros(d_out),
+        shapes = {
+            "W1": (d_in, HIDDEN_UNITS),
+            "b1": (HIDDEN_UNITS,),
+            "W2": (HIDDEN_UNITS, d_out),
+            "b2": (d_out,),
         }
     else:
         raise ValueError(f"unknown model type: {spec.model}")
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()), np.float32)
+    params = _views(flat, shapes)
+    if spec.model == "mlp":
+        for name, fan_in in (("W1", d_in), ("W2", HIDDEN_UNITS)):
+            rng.standard_normal(dtype=np.float32, out=params[name])
+            params[name] *= math.sqrt(2.0 / fan_in)
     if spec.task == "regression" and y_train is not None:
         # Adam at these learning rates cannot walk an output bias to ~100 in
         # 200 epochs, so start the intercept at the training-target mean.
         params["b" if spec.model == "linear" else "b2"][:] = float(np.mean(y_train))
-    return params
+    return flat, params
 
 
-def _forward(spec: ProbeSpec, params: dict, x: np.ndarray, dropout_rng=None):
-    """Returns (output, cache). Dropout is active only when a rng is supplied."""
+class _Buffers:
+    """Gradients and the activations of up to `rows` input rows, in the dtype of `params`.
+
+    `train` allocates one for its minibatches and reuses it on every step; a
+    shorter batch uses the first rows. The gradients lie end to end in
+    `grad_flat`, in the order of `params`.
+    """
+
+    def __init__(self, spec: ProbeSpec, params: dict, rows: int):
+        dtype = next(iter(params.values())).dtype
+        self.grad_flat = np.empty(sum(p.size for p in params.values()), dtype)
+        self.grads = _views(self.grad_flat, {k: p.shape for k, p in params.items()})
+        weights = params["W"] if spec.model == "linear" else params["W2"]
+        self.out = np.empty((rows, weights.shape[1]), dtype)
+        if spec.model == "mlp":
+            shape = (rows, params["W1"].shape[1])
+            self.pre, self.hidden, self.mask, self.d_hidden = (np.empty(shape, dtype) for _ in range(4))
+
+
+def _forward(spec: ProbeSpec, params: dict, x: np.ndarray, buf: _Buffers, dropout_rng=None) -> np.ndarray:
+    """Output rows for `x`, written into `buf`. Dropout is active only when a rng is supplied."""
+    rows = len(x)
+    out = buf.out[:rows]
     if spec.model == "linear":
-        return x @ params["W"] + params["b"], {"x": x}
-    pre = x @ params["W1"] + params["b1"]
-    hidden = np.maximum(pre, 0.0)
-    mask = None
+        np.matmul(x, params["W"], out=out)
+        out += params["b"]
+        return out
+    pre, hidden = buf.pre[:rows], buf.hidden[:rows]
+    np.matmul(x, params["W1"], out=pre)
+    pre += params["b1"]
+    np.maximum(pre, 0.0, out=hidden)
     if dropout_rng is not None and spec.dropout > 0.0:
-        mask = (dropout_rng.random(hidden.shape) >= spec.dropout) / (1.0 - spec.dropout)
-        hidden = hidden * mask
-    out = hidden @ params["W2"] + params["b2"]
-    return out, {"x": x, "pre": pre, "hidden": hidden, "mask": mask}
+        mask = buf.mask[:rows]
+        dropout_rng.random(dtype=mask.dtype, out=mask)
+        np.greater_equal(mask, spec.dropout, out=mask)
+        mask *= 1.0 / (1.0 - spec.dropout)
+        hidden *= mask
+    np.matmul(hidden, params["W2"], out=out)
+    out += params["b2"]
+    return out
 
 
-def _backward(spec: ProbeSpec, params: dict, cache: dict, d_out: np.ndarray) -> dict:
+def _backward(spec: ProbeSpec, params: dict, x: np.ndarray, buf: _Buffers, d_out: np.ndarray, masked: bool):
+    """Parameter gradients into `buf.grads`, from the activations `_forward` left in `buf`."""
+    grads = buf.grads
     if spec.model == "linear":
-        return {"W": cache["x"].T @ d_out, "b": d_out.sum(axis=0)}
-    grads = {"W2": cache["hidden"].T @ d_out, "b2": d_out.sum(axis=0)}
-    d_hidden = d_out @ params["W2"].T
-    if cache["mask"] is not None:
-        d_hidden = d_hidden * cache["mask"]
-    d_pre = d_hidden * (cache["pre"] > 0.0)
-    grads["W1"] = cache["x"].T @ d_pre
-    grads["b1"] = d_pre.sum(axis=0)
-    return grads
+        np.matmul(x.T, d_out, out=grads["W"])
+        np.sum(d_out, axis=0, out=grads["b"])
+        return
+    rows = len(x)
+    pre, d_pre = buf.pre[:rows], buf.d_hidden[:rows]
+    np.matmul(buf.hidden[:rows].T, d_out, out=grads["W2"])
+    np.sum(d_out, axis=0, out=grads["b2"])
+    np.matmul(d_out, params["W2"].T, out=d_pre)
+    if masked:
+        d_pre *= buf.mask[:rows]
+    np.greater(pre, 0.0, out=pre)  # the pre-activation is spent: it becomes the ReLU derivative
+    d_pre *= pre
+    np.matmul(x.T, d_pre, out=grads["W1"])
+    np.sum(d_pre, axis=0, out=grads["b1"])
 
 
 def _loss_and_grad(spec: ProbeSpec, out: np.ndarray, y: np.ndarray):
     n = len(y)
     if spec.task == "classification":
         shifted = out - out.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        loss = float(np.mean(log_z - shifted[np.arange(n), y]))
-        softmax = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        softmax[np.arange(n), y] -= 1.0
-        return loss, softmax / n
+        softmax = np.exp(shifted)
+        total = softmax.sum(axis=1, keepdims=True)
+        rows = np.arange(n)
+        loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, y]))
+        softmax /= total
+        softmax[rows, y] -= 1.0
+        softmax /= n
+        return loss, softmax
     pred = out[:, 0]
     err = pred - y
     loss = float(np.mean(err * err))
     return loss, (2.0 * err / n)[:, None]
 
 
-def _penalty(spec: ProbeSpec, params: dict):
-    """0.5 * wd * ||W||^2 over weight matrices (biases are not decayed)."""
-    if spec.weight_decay == 0.0:
-        return 0.0, {}
-    weights = [k for k in params if k.startswith("W")]
-    loss = 0.5 * spec.weight_decay * sum(float(np.sum(params[k] ** 2)) for k in weights)
-    return loss, {k: spec.weight_decay * params[k] for k in weights}
+def batch_loss(spec: ProbeSpec, params: dict, x: np.ndarray, y: np.ndarray, dropout_rng=None, buffers=None):
+    """Full training loss (data term + L2 penalty) and parameter gradients.
 
-
-def batch_loss(spec: ProbeSpec, params: dict, x: np.ndarray, y: np.ndarray, dropout_rng=None):
-    """Full training loss (data term + L2 penalty) and parameter gradients."""
-    out, cache = _forward(spec, params, x, dropout_rng)
+    Computes in the dtype of `params`. The gradients are views into
+    `buffers` (a `_Buffers` for at least len(x) rows), which `train` passes
+    to reuse one allocation; without it, this call allocates its own.
+    """
+    if buffers is None:
+        buffers = _Buffers(spec, params, len(x))
+    out = _forward(spec, params, x, buffers, dropout_rng)
     loss, d_out = _loss_and_grad(spec, out, y)
-    grads = _backward(spec, params, cache, d_out)
-    pen, pen_grads = _penalty(spec, params)
-    for k, g in pen_grads.items():
-        grads[k] = grads[k] + g
-    return loss + pen, grads
+    _backward(spec, params, x, buffers, d_out, dropout_rng is not None and spec.dropout > 0.0)
+    grads = buffers.grads
+    if spec.weight_decay:
+        # 0.5 * wd * ||W||^2 over weight matrices (biases are not decayed)
+        for k in params:
+            if k.startswith("W"):
+                loss += 0.5 * spec.weight_decay * float(np.vdot(params[k], params[k]))
+                grads[k] += spec.weight_decay * params[k]
+    return loss, grads
 
 
 @dataclass
@@ -186,8 +256,7 @@ class TrainedProbe:
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.mean is not None:
             x = normalize_apply(x, self.mean, self.std)
-        out, _ = _forward(self.spec, self.params, x)
-        return out
+        return _forward(self.spec, self.params, x, _Buffers(self.spec, self.params, len(x)))
 
 
 def _score(task: str, out: np.ndarray, y: np.ndarray) -> float:
@@ -218,7 +287,7 @@ def train(
     max_epochs: int = MAX_EPOCHS,
     patience: int = PATIENCE,
 ) -> tuple[TrainedProbe, ProbeResult]:
-    """Minibatch Adam with early stopping on the validation metric.
+    """Minibatch Adam with early stopping on the validation metric, in float32 whatever the input dtype.
 
     Returns the probe restored to its best-validation checkpoint. Raises
     TrainingError on a non-finite training loss, and when no epoch gives a
@@ -226,8 +295,8 @@ def train(
     """
     x_train, y_train = train_xy
     x_val, y_val = val_xy
-    x_train = np.asarray(x_train, dtype=np.float64)
-    x_val = np.asarray(x_val, dtype=np.float64)
+    x_train = np.asarray(x_train, dtype=np.float32)
+    x_val = np.asarray(x_val, dtype=np.float32)
     mean = std = None
     if spec.normalize:
         mean, std = normalize_fit(x_train)
@@ -235,40 +304,59 @@ def train(
         x_val = normalize_apply(x_val, mean, std)
 
     rng = np.random.default_rng(seed)
-    params = _init_params(spec, x_train.shape[1], rng, y_train)
-    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    flat, params = _init_params(spec, x_train.shape[1], rng, y_train)
+    if spec.task == "regression":
+        y_train = np.asarray(y_train, dtype=np.float32)
+    n = len(x_train)
+    rows = min(spec.batch_size, n)
+    buffers = _Buffers(spec, params, rows)
+    val_buffers = _Buffers(spec, params, len(x_val))
+    x_batch = np.empty((rows, x_train.shape[1]), np.float32)
+    y_batch = np.empty(rows, y_train.dtype)
+    grad = buffers.grad_flat
+    adam_m, adam_v, scratch = (np.zeros_like(flat) for _ in range(3))
     step = 0
 
-    probe = TrainedProbe(spec, params, mean, std)
-    best = {k: v.copy() for k, v in params.items()}
+    best = flat.copy()
     best_metric = -np.inf
     best_epoch = -1
     stale = 0
     epochs_run = 0
 
-    n = len(x_train)
     for epoch in range(max_epochs):
         epochs_run = epoch + 1
         order = rng.permutation(n)
         for batch_idx, lo in enumerate(range(0, n, spec.batch_size)):
             sel = order[lo : lo + spec.batch_size]
-            loss, grads = batch_loss(spec, params, x_train[sel], y_train[sel], dropout_rng=rng)
+            x_b = np.take(x_train, sel, axis=0, out=x_batch[: len(sel)])
+            y_b = np.take(y_train, sel, out=y_batch[: len(sel)])
+            loss, _ = batch_loss(spec, params, x_b, y_b, rng, buffers)  # gradients land in `grad`
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_idx}")
             step += 1
-            for k, g in grads.items():
-                adam_m[k] = ADAM_BETA1 * adam_m[k] + (1 - ADAM_BETA1) * g
-                adam_v[k] = ADAM_BETA2 * adam_v[k] + (1 - ADAM_BETA2) * g * g
-                m_hat = adam_m[k] / (1 - ADAM_BETA1**step)
-                v_hat = adam_v[k] / (1 - ADAM_BETA2**step)
-                params[k] -= spec.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            # Adam over the flat buffers, with the bias corrections folded into
+            # one step size and eps: lr * m_hat / (sqrt(v_hat) + eps) equals
+            # step_size * m / (sqrt(v) + eps_t).
+            root = math.sqrt(1.0 - ADAM_BETA2**step)
+            step_size = spec.learning_rate * root / (1.0 - ADAM_BETA1**step)
+            adam_m *= ADAM_BETA1
+            np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
+            adam_m += scratch
+            adam_v *= ADAM_BETA2
+            np.multiply(grad, grad, out=scratch)
+            scratch *= 1.0 - ADAM_BETA2
+            adam_v += scratch
+            np.sqrt(adam_v, out=scratch)
+            scratch += ADAM_EPS * root
+            np.divide(adam_m, scratch, out=scratch)
+            scratch *= step_size
+            flat -= scratch
 
-        val_metric = _score(spec.task, _forward(spec, params, x_val)[0], y_val)
+        val_metric = _score(spec.task, _forward(spec, params, x_val, val_buffers), y_val)
         if val_metric > best_metric:
             best_metric = val_metric
             best_epoch = epoch
-            best = {k: v.copy() for k, v in params.items()}
+            np.copyto(best, flat)
             stale = 0
         else:
             stale += 1
@@ -277,7 +365,7 @@ def train(
 
     if best_epoch < 0:
         raise TrainingError(f"no finite validation metric in {epochs_run} epochs")
-    probe.params = best
+    probe = TrainedProbe(spec, _views(best, {k: p.shape for k, p in params.items()}), mean, std)
     result = ProbeResult(spec, best_epoch, epochs_run, float(best_metric), seed)
     return probe, result
 

@@ -297,7 +297,7 @@ def test_grid_selection_beats_worst_config(corpus):
     assert small_ids <= {r["id"] for r in records}
     ids, matrix = read_embeddings_file(corpus["chords"])
     keep = [i for i, sid in enumerate(ids) if sid in small_ids]
-    x = matrix[keep].astype(np.float64)
+    x = matrix[keep]
     kept_records = [records[i] for i in keep]
     y = np.array([theory.CHORD_QUALITIES.index(r["quality"]) for r in kept_records])
     splits = datasets.split_xy(x, y, kept_records, datasets.make_split(kept_records, "chords", SEED))

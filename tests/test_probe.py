@@ -16,7 +16,7 @@ from earbench.probe import (
     select_best,
     train,
 )
-from probe_gradients import GradientCheckError, gradient_check
+from probe_gradients import GradientCheckError, gradient_check, reference_train
 
 
 def blobs(rng, n_per=60, d=8, separation=4.0):
@@ -103,6 +103,60 @@ def test_train_determinism(rng):
     assert r1 == r2
     for k in t1.params:
         assert np.array_equal(t1.params[k], t2.params[k])
+
+
+# float32 training against the float64 reference, elementwise: within 1e-5
+# relative (about 85 float32 ulps, the rounding of ~20 steps) plus one
+# learning rate absolute, which is one Adam step: the most an element can move
+# apart in a step where its gradient sits on a ReLU boundary or below float32's
+# resolution.
+REFERENCE_RTOL = 1e-5
+
+
+def _reference_data(task, center=0.0, scale=1.0):
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((260, 12)) * 2.0 + 1.0
+    score = x @ rng.standard_normal(12) / np.sqrt(12) + 0.3 * rng.standard_normal(260)
+    if task == "classification":
+        y = np.digitize(score, np.quantile(score, [1 / 3, 2 / 3]))
+    else:
+        y = center + scale * score
+    return (x[:200], y[:200]), (x[200:], y[200:])
+
+
+def _assert_matches_reference(spec, train_xy, val_xy):
+    trained, result = train(spec, train_xy, val_xy, seed=7, max_epochs=5, patience=5)
+    ref_params, ref_result = reference_train(spec, train_xy, val_xy, seed=7, max_epochs=5, patience=5)
+    assert result.best_epoch == ref_result.best_epoch
+    assert abs(result.val_metric - ref_result.val_metric) <= 1e-4
+    assert trained.params.keys() == ref_params.keys()
+    for k, ref in ref_params.items():
+        assert trained.params[k].dtype == np.float32
+        np.testing.assert_allclose(
+            trained.params[k], ref, rtol=REFERENCE_RTOL, atol=spec.learning_rate, err_msg=k
+        )
+    return trained, ref_params
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+@pytest.mark.parametrize("task,n_classes", [("classification", 3), ("regression", 0)])
+@pytest.mark.parametrize("model", ["linear", "mlp"])
+def test_float32_training_matches_float64_reference(model, task, n_classes, weight_decay):
+    spec = ProbeSpec(True, model, 64, 1e-3, 0.0, weight_decay, task, n_classes)
+    _assert_matches_reference(spec, *_reference_data(task))
+
+
+@pytest.mark.parametrize("model", ["linear", "mlp"])
+def test_float32_output_bias_near_130_bpm_matches_reference(model):
+    # float32's ulp at 130 (1.5e-5) exceeds lr 1e-5, so each step moves the
+    # output bias by whole ulps, and the two paths may part by up to one ulp per step
+    spec = ProbeSpec(True, model, 64, 1e-5, 0.0, 0.0, "regression")
+    train_xy, val_xy = _reference_data("regression", center=130.0, scale=10.0)
+    trained, ref_params = _assert_matches_reference(spec, train_xy, val_xy)
+    bias = "b" if model == "linear" else "b2"
+    steps = 5 * 4  # 5 epochs of 4 batches of 64 from 200 rows
+    ulp = np.spacing(np.float32(130.0))
+    assert abs(float(trained.params[bias][0]) - ref_params[bias][0]) <= steps * ulp
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
