@@ -9,6 +9,9 @@ On-disk layout per concept:
     <out>/<concept>/midi/<id>.mid
     <out>/<concept>/audio/<id>.wav
 
+Each file is written under a temporary name and renamed into place, so an
+interrupted run leaves no half-written file for a later stage to accept.
+
 No split file is written: `make_split(manifest, concept, seed)` is the one
 source of the train/validation/test assignment, and probe derives it from the
 manifest and its own --seed.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -337,10 +341,20 @@ def subsample_records(records: list[dict], concept: str, fraction: float, seed: 
 # materialization
 
 
+def _write_atomic(path: Path, data: bytes):
+    """Write `data` to a temporary name beside `path`, then rename it into
+    place: an interrupted write leaves no partial file under `path`."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_manifest(records: list[dict], path: Path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r) + "\n")
+    _write_atomic(Path(path), "".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
 
 
 def read_manifest(path) -> list[dict]:
@@ -371,8 +385,8 @@ def generate_concept(
     (concept_dir / "audio").mkdir(exist_ok=True)
 
     def write_one(record):
-        (concept_dir / record["midi_path"]).write_bytes(smf.encode_smf(build_midi(record)))
-        (concept_dir / record["wav_path"]).write_bytes(synth.write_wav(render_sample(record)))
+        _write_atomic(concept_dir / record["midi_path"], smf.encode_smf(build_midi(record)))
+        _write_atomic(concept_dir / record["wav_path"], synth.write_wav(render_sample(record)))
 
     parallel_map(write_one, records, workers)
     return records

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .parallel import blas_threads
 from .synth import SAMPLE_RATE
 
 WINDOW = 2048
@@ -165,6 +166,7 @@ def aggregate(frames: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
+@blas_threads(1)
 def frame_features(clip: np.ndarray, kind: str) -> np.ndarray:
     """[n_frames x bins] frames of one feature kind from one analysis pass.
 
@@ -175,6 +177,8 @@ def frame_features(clip: np.ndarray, kind: str) -> np.ndarray:
     energy normalized to unit maximum, and `aggregate` stacks mel, chroma
     and MFCC per frame. Chroma's padded transform runs only for `chroma` and
     `aggregate`: it would roughly triple the cost of `mel` and `mfcc`.
+    The filterbank matmuls run on one BLAS thread, so the float64 bits do
+    not depend on the machine's core count.
     """
     if kind not in FEATURE_DIMS:
         raise ValueError(f"unknown feature kind: {kind!r}")

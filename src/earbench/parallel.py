@@ -9,10 +9,13 @@ contend for the same cores.
 import ctypes
 import glob
 import os
+from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
 
+@lru_cache(maxsize=None)
 def openblas_function(name: str):
     """`openblas_<name>` of the OpenBLAS in a numpy wheel's numpy.libs, or None."""
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
@@ -26,17 +29,43 @@ def openblas_function(name: str):
     return None
 
 
+def _set_blas_threads(n: int):
+    set_threads = openblas_function("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(n)
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the body on `n` OpenBLAS threads, then restore the count it had.
+
+    A matmul's float64 bits can depend on how many threads share it, so
+    feature extraction runs on one thread in every process: a pool worker,
+    a `--workers 1` parent or a test.
+    """
+    get_threads = openblas_function("get_num_threads")
+    if get_threads is None:
+        yield
+        return
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    before = get_threads()
+    _set_blas_threads(n)
+    try:
+        yield
+    finally:
+        _set_blas_threads(before)
+
+
 _FN = None  # the job function of this pool worker, set by _start_worker
 
 
 def _start_worker(fn):
     global _FN
     _FN = fn
-    set_threads = openblas_function("set_num_threads")
-    if set_threads is not None:
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
+    _set_blas_threads(1)
 
 
 def _run(job):
@@ -49,8 +78,8 @@ def parallel_map(fn, jobs, workers: int) -> list:
     `fn` reaches the workers as the pool initializer's argument, which fork
     inherits, so it is never pickled and may be a closure over large arrays;
     only the jobs and results are. With `workers` <= 1 the jobs run here,
-    with this process's BLAS threads. Jobs go out one at a time, so uneven
-    costs balance.
+    with this process's BLAS threads (feature extraction sets its own).
+    Jobs go out one at a time, so uneven costs balance.
     """
     if workers <= 1:
         return [fn(job) for job in jobs]

@@ -9,8 +9,9 @@ import numpy as np
 from earbench import midi as smf
 
 
-def make_random_sequence(rng: np.random.Generator, max_events: int = 60) -> smf.MidiSequence:
-    """A structurally valid random MidiSequence for round-trip testing."""
+def make_random_sequence(rng: np.random.Generator, max_events: int = 60, pitches=(0, 128)) -> smf.MidiSequence:
+    """A structurally valid random MidiSequence for round-trip testing, its
+    note numbers drawn from range(*pitches)."""
     events = []
     open_notes = []
     n_body = int(rng.integers(0, max_events))
@@ -18,7 +19,7 @@ def make_random_sequence(rng: np.random.Generator, max_events: int = 60) -> smf.
         delta = int(rng.integers(0, 2000))
         roll = rng.random()
         if roll < 0.35 or (roll < 0.55 and not open_notes):
-            kind = smf.NoteOn(int(rng.integers(0, 16)), int(rng.integers(0, 128)), int(rng.integers(1, 128)))
+            kind = smf.NoteOn(int(rng.integers(0, 16)), int(rng.integers(*pitches)), int(rng.integers(1, 128)))
             open_notes.append((kind.channel, kind.note))
         elif roll < 0.55:
             channel, note = open_notes.pop(int(rng.integers(0, len(open_notes))))

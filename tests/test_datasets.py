@@ -1,6 +1,7 @@
 import hashlib
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +254,45 @@ def test_generate_concept_writes_layout(tmp_path):
         assert rate == synth.SAMPLE_RATE and len(clip) == synth.CLIP_SAMPLES
         seq = smf.decode_smf((concept_dir / r["midi_path"]).read_bytes())
         assert seq == build_midi(r)
+
+
+@pytest.mark.parametrize("failing", ["render", "write"])
+def test_generate_leaves_no_partial_file(tmp_path, monkeypatch, failing):
+    """A render that raises, or a WAV write cut off halfway, stops generate
+    without a temporary file or a short WAV left on disk."""
+    calls = []
+    if failing == "render":
+        real_render = datasets.render_sample
+
+        def render_sample(record):
+            calls.append(record["id"])
+            if len(calls) == 3:
+                raise RuntimeError("render failed")
+            return real_render(record)
+
+        monkeypatch.setattr(datasets, "render_sample", render_sample)
+    else:
+        real_write = Path.write_bytes
+
+        def write_bytes(path, data):
+            if ".wav" in path.name:
+                calls.append(path.name)
+                if len(calls) == 3:
+                    real_write(path, data[: len(data) // 2])
+                    raise OSError(28, "No space left on device")
+            return real_write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    with pytest.raises((RuntimeError, OSError)):
+        generate_concept("chords", tmp_path, SEED, subsample=0.002, workers=1)
+    concept_dir = tmp_path / "chords"
+    assert [p.name for p in concept_dir.rglob("*") if ".tmp" in p.name] == []
+    wavs = sorted((concept_dir / "audio").iterdir())
+    assert len(wavs) == 2
+    assert {w.stat().st_size for w in wavs} == {44 + 2 * synth.CLIP_SAMPLES}
+    assert read_manifest(concept_dir / "manifest.jsonl") == subsample_records(
+        build_records("chords", SEED), "chords", 0.002, SEED
+    )
 
 
 def test_generate_manifest_only_writes_no_audio(tmp_path):

@@ -19,6 +19,7 @@ from earbench.features import (
     mel_filterbank,
     rfft,
 )
+from earbench.parallel import blas_threads, parallel_map
 from earbench.synth import CLIP_SAMPLES, SAMPLE_RATE
 
 
@@ -310,16 +311,16 @@ def test_time_shift_robust_mean_pooling():
 # sha256 of each feature_vector's float64 bytes at seed 11
 PINNED_FEATURE_SHA256 = {
     "chord_p00_augmented_first_i01": {
-        "mel": "d7ea4f119f8534ccd8247fdf90689697aabee9772e3fc0fba5660304880c8407",
-        "mfcc": "5fda38d32dee26d2c1e2822fe5e450ed470e4774c90f2f8830068b1d4a321790",
-        "chroma": "d1ad762ace186feb9fa1731e4f39d7b8c5db8e3ee7a0e9eacefc9c77de11e246",
-        "aggregate": "92147a9db5ae248a2da7e71fce4150413c5bd365bda57f0bd20bdc3d80c500d7",
+        "mel": "ce10f4972ccf6d3e87942a2e2bc2614633fe3ea18cbe4ef4609833a84c3ee2f4",
+        "mfcc": "769d5348adaa29a448fb80c578d887876d9c3b4d48585c3dea7c30fce67345a2",
+        "chroma": "3551eefc9811624805a566c5c1cb8cf37475e87626c40e3780196fbe563f470a",
+        "aggregate": "27e2f29961ab79eb317fc38cc1c6888eb71e59ff1bf24f6071819dc7334811d6",
     },
     "timesig_02-2_r0_c0_o5": {
-        "mel": "b8193391c9a764098200bfaf56433a2b208fc8eb1aadb18e1830c609f58d27cb",
+        "mel": "de8660688e233929f5b50b18548ef4e5974a51d3a71df088ab78a0997fc4cfc8",
         "mfcc": "00009eb480e0ed560b31597e717c0f90a064bf7acd3c04d8fa2ec0c0b5006b31",
         "chroma": "01fb45cf5c82c26e7ee00d6eacb3b82c491b45b5ea829464f36d0869f61a0216",
-        "aggregate": "16f00249ddddba02a3c7102f064ba365833ea756d7918dbb87ca95caf8b5e696",
+        "aggregate": "285cd0fc699f7280486ecab9890278a45c8cb0aa73deffd2497f446f0a214202",
     },
 }
 
@@ -333,9 +334,26 @@ def render_by_id(sample_id):
 
 @pytest.mark.parametrize("sample_id", sorted(PINNED_FEATURE_SHA256))
 def test_feature_vector_bytes_pinned(sample_id):
+    """The pins hold whatever BLAS thread count the caller runs: the mel
+    filterbank matmul gives other float64 bits on one thread than on two."""
     clip = render_by_id(sample_id)
-    got = {kind: hashlib.sha256(feature_vector(clip, kind).tobytes()).hexdigest() for kind in FEATURE_KINDS}
-    assert got == PINNED_FEATURE_SHA256[sample_id]
+    for threads in (1, 2):
+        with blas_threads(threads):
+            got = {kind: hashlib.sha256(feature_vector(clip, kind).tobytes()).hexdigest() for kind in FEATURE_KINDS}
+        assert got == PINNED_FEATURE_SHA256[sample_id], f"caller on {threads} BLAS threads"
+
+
+def test_feature_vector_same_bytes_in_process_and_in_pool_worker():
+    clips = [render_by_id(sample_id) for sample_id in sorted(PINNED_FEATURE_SHA256)]
+    jobs = [(i, kind) for i in range(len(clips)) for kind in ("mel", "aggregate")]
+
+    def extract(job):
+        i, kind = job
+        return feature_vector(clips[i], kind).tobytes()
+
+    with blas_threads(2):
+        here = [extract(job) for job in jobs]
+    assert parallel_map(extract, jobs, 2) == here
 
 
 def _matrix_dft_rfft(signal, n=None):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from earbench import synth
+from earbench.datasets import build_midi, build_records
 from earbench.midi import EndOfTrack, MidiEvent, MidiSequence, NoteOff, NoteOn, TempoMeta
 from earbench.synth import (
     CLICK_SETTINGS,
@@ -19,6 +20,8 @@ from earbench.synth import (
     timbre_presets,
     write_wav,
 )
+from random_midi import make_random_sequence
+from synth_reference import reference_render
 
 # measured minimum pairwise preset distance is 0.0157 (profile L2 + centroid kHz)
 TIMBRE_DISTANCE_THRESHOLD = 0.0078
@@ -86,6 +89,52 @@ def test_render_amplitude_bounded():
     )
     clip = render(seq, timbre_presets()[3])
     assert np.max(np.abs(clip)) <= 1.0
+
+
+def _assert_within_reference_tolerance(got, ref):
+    """float64 within 1e-11 absolute, 16-bit WAV samples within 1 LSB."""
+    assert np.abs(got - ref).max() <= 1e-11
+    wav_got = np.frombuffer(write_wav(got)[44:], "<i2").astype(np.int32)
+    wav_ref = np.frombuffer(write_wav(ref)[44:], "<i2").astype(np.int32)
+    assert np.abs(wav_got - wav_ref).max() <= 1
+
+
+# one record of each tonal concept at seed 11; the chord is one whose WAV
+# moves by 1 LSB in two samples, the note (MIDI 107) loses partials at
+# Nyquist, and every preset but the chord's has vibrato
+TONAL_REFERENCE_RECORDS = [
+    ("notes", "note_p11_o8_i86"),
+    ("intervals", "interval_p11_h12_up_i86"),
+    ("scales", "scale_phrygian_p11_descending_i86"),
+    ("chords", "chord_p03_augmented_first_i81"),
+    ("progressions", "prog_06_p04_i01"),
+]
+
+
+@pytest.mark.parametrize("concept, sample_id", TONAL_REFERENCE_RECORDS)
+def test_render_matches_note_by_note_reference_on_tonal_records(concept, sample_id):
+    record = next(r for r in build_records(concept, 11) if r["id"] == sample_id)
+    seq, preset = build_midi(record), timbre_presets()[record["timbre_id"]]
+    _assert_within_reference_tolerance(render(seq, preset), reference_render(seq, preset))
+
+
+def test_render_matches_note_by_note_reference_on_random_sequences():
+    """Four pitches make same-pitch notes overlap; random tempi put onsets
+    between samples and let notes run past the clip end."""
+    presets = timbre_presets()
+    sub_sample = overlapping = cut = 0
+    for seed in range(40):
+        seq = make_random_sequence(np.random.default_rng(seed), pitches=(60, 64))
+        preset = presets[(7 * seed) % len(presets)]
+        spans = synth._note_spans(seq, synth.CLIP_SECONDS)
+        heard = [(s, e, n) for s, e, n, _ in spans if round(s * SAMPLE_RATE) < CLIP_SAMPLES]
+        sub_sample += sum(round(s * SAMPLE_RATE) != s * SAMPLE_RATE for s, _, _ in heard)
+        cut += sum(round((e + preset.adsr[3]) * SAMPLE_RATE) + 1 > CLIP_SAMPLES for _, e, _ in heard)
+        overlapping += sum(
+            a[2] == b[2] and a[0] <= b[0] < a[1] + preset.adsr[3] for i, a in enumerate(heard) for b in heard[i + 1 :]
+        )
+        _assert_within_reference_tolerance(render(seq, preset), reference_render(seq, preset))
+    assert min(sub_sample, overlapping, cut) > 0
 
 
 def test_pitch_correct_across_sampled_registers():
