@@ -7,7 +7,6 @@ command rerun with the same flags rewrites byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
@@ -18,25 +17,6 @@ from . import datasets, probe, report, synth
 from .embeddings import ingest_embeddings, read_embeddings_file, write_embeddings_file
 from .features import FEATURE_KINDS, feature_vector
 from .parallel import parallel_map
-
-RESULT_COLUMNS = [
-    "concept",
-    "representation",
-    "normalize",
-    "model",
-    "batch_size",
-    "learning_rate",
-    "dropout",
-    "weight_decay",
-    "task",
-    "n_classes",
-    "seed",
-    "best_epoch",
-    "epochs_run",
-    "val_metric",
-    "test_metric",
-]
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="earbench", description=__doc__)
@@ -117,16 +97,6 @@ def cmd_extract(args):
     return 0
 
 
-def class_labels(records: list[dict], concept: str):
-    """(y, classes): integer targets for classification, float BPM for tempo."""
-    field = datasets.LABEL_FIELDS[concept]
-    if concept == "tempo":
-        return np.array([float(r[field]) for r in records]), None
-    classes = sorted({r[field] for r in records})
-    index = {v: i for i, v in enumerate(classes)}
-    return np.array([index[r[field]] for r in records]), classes
-
-
 def spec_summary(spec: probe.ProbeSpec) -> str:
     return (
         f"normalize={spec.normalize} model={spec.model} batch={spec.batch_size} "
@@ -134,48 +104,19 @@ def spec_summary(spec: probe.ProbeSpec) -> str:
     )
 
 
-def write_result_csv(path, concept, representation, results, seed):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        for r in results:
-            writer.writerow(
-                {
-                    "concept": concept,
-                    "representation": representation,
-                    "normalize": r.spec.normalize,
-                    "model": r.spec.model,
-                    "batch_size": r.spec.batch_size,
-                    "learning_rate": f"{r.spec.learning_rate:g}",
-                    "dropout": f"{r.spec.dropout:g}",
-                    "weight_decay": f"{r.spec.weight_decay:g}",
-                    "task": r.spec.task,
-                    "n_classes": r.spec.n_classes,
-                    "seed": r.seed,
-                    "best_epoch": r.best_epoch,
-                    "epochs_run": r.epochs_run,
-                    "val_metric": f"{r.val_metric:.6f}",
-                    "test_metric": "" if r.test_metric is None else f"{r.test_metric:.6f}",
-                }
-            )
-
-
 def cmd_probe(args):
     concept_dir = Path(args.data) / args.concept
     records = datasets.read_manifest(concept_dir / "manifest.jsonl")
-    x = ingest_embeddings(*read_embeddings_file(args.embeddings), records)
-    y, classes = class_labels(records, args.concept)
-    task = datasets.CONCEPT_TASKS[args.concept]
-    n_classes = len(classes) if classes else 0
+    y, n_classes = datasets.class_labels(records, args.concept)
     assignment = datasets.make_split(records, args.concept, args.seed)
-    splits = datasets.split_xy(x, y, records, assignment)
-    del x  # only the split copies need to stay alive through training
-    specs = None if args.grid else [probe.lm_default_spec(task, n_classes)]
-    selected, results = probe.grid_search(
-        splits, task, n_classes, args.seed, specs=specs, workers=args.workers or 1
+    splits = datasets.split_xy(
+        ingest_embeddings(*read_embeddings_file(args.embeddings), records), y, records, assignment
     )
+    task = datasets.CONCEPT_TASKS[args.concept]
+    specs = probe.grid_specs(task, n_classes) if args.grid else [probe.lm_default_spec(task, n_classes)]
+    selected, results = probe.grid_search(specs, splits, args.seed, args.workers or 1)
     representation = args.name or Path(args.embeddings).stem
-    write_result_csv(args.out, args.concept, representation, results, args.seed)
+    report.write_result_csv(args.out, args.concept, representation, results)
     metric = "r2" if task == "regression" else "accuracy"
     print(f"{args.concept}/{representation}: selected {spec_summary(selected.spec)}")
     print(f"{args.concept}/{representation}: test {metric} {selected.test_metric:.4f}")
@@ -187,9 +128,9 @@ def cmd_report(args):
     if not cells:
         raise FileNotFoundError(f"no probe result CSVs with a selected row under {args.results}")
     table = report.build_table(cells)
-    out = Path(args.out)
-    text = report.render_csv(table) if out.suffix.lower() == ".csv" else report.render_markdown(table)
-    out.write_text(text, encoding="utf-8")
+    csv_out = Path(args.out).suffix.lower() == ".csv"
+    text = report.render_csv(table) if csv_out else report.render_markdown(table)
+    datasets.write_atomic(args.out, text.encode("utf-8"))
     print(text, end="")
     return 0
 

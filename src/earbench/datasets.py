@@ -303,6 +303,17 @@ def make_split(records: list[dict], concept: str, seed: int) -> dict[str, str]:
     return {ids[idx]: name for idx, name in zip(perm, names)}
 
 
+def class_labels(records: list[dict], concept: str):
+    """(y, n_classes): float BPM targets and 0 for tempo; otherwise indices
+    into the sorted class values, and their count."""
+    field = LABEL_FIELDS[concept]
+    if concept == "tempo":
+        return np.array([float(r[field]) for r in records]), 0
+    classes = sorted({r[field] for r in records})
+    index = {v: i for i, v in enumerate(classes)}
+    return np.array([index[r[field]] for r in records]), len(classes)
+
+
 def split_xy(x, y, records: list[dict], assignment: dict[str, str]):
     """((x, y) train, (x, y) validation, (x, y) test) from rows that follow `records`.
 
@@ -341,9 +352,10 @@ def subsample_records(records: list[dict], concept: str, fraction: float, seed: 
 # materialization
 
 
-def _write_atomic(path: Path, data: bytes):
+def write_atomic(path, data: bytes):
     """Write `data` to a temporary name beside `path`, then rename it into
     place: an interrupted write leaves no partial file under `path`."""
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
@@ -354,7 +366,7 @@ def _write_atomic(path: Path, data: bytes):
 
 
 def write_manifest(records: list[dict], path: Path):
-    _write_atomic(Path(path), "".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
+    write_atomic(path, "".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
 
 
 def read_manifest(path) -> list[dict]:
@@ -385,8 +397,8 @@ def generate_concept(
     (concept_dir / "audio").mkdir(exist_ok=True)
 
     def write_one(record):
-        _write_atomic(concept_dir / record["midi_path"], smf.encode_smf(build_midi(record)))
-        _write_atomic(concept_dir / record["wav_path"], synth.write_wav(render_sample(record)))
+        write_atomic(concept_dir / record["midi_path"], smf.encode_smf(build_midi(record)))
+        write_atomic(concept_dir / record["wav_path"], synth.write_wav(render_sample(record)))
 
     parallel_map(write_one, records, workers)
     return records

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import write_atomic
+
 MAGIC = b"SYNEMB1"
 
 
@@ -79,12 +81,12 @@ def read_embeddings(data: bytes) -> tuple[list[str], np.ndarray]:
         raise EmbeddingFormatError(
             f"{len(data) - pos - payload} trailing bytes at offset {pos + payload}"
         )
-    matrix = np.frombuffer(data[pos : pos + payload], dtype="<f4").reshape(count, dim)
+    matrix = np.frombuffer(data, dtype="<f4", count=count * dim, offset=pos).reshape(count, dim)
     return ids, matrix
 
 
 def write_embeddings_file(path, ids, matrix):
-    Path(path).write_bytes(write_embeddings(ids, matrix))
+    write_atomic(path, write_embeddings(ids, matrix))
 
 
 def read_embeddings_file(path) -> tuple[list[str], np.ndarray]:
@@ -93,9 +95,9 @@ def read_embeddings_file(path) -> tuple[list[str], np.ndarray]:
 
 def ingest_embeddings(ids: list[str], matrix: np.ndarray, records: list[dict]) -> np.ndarray:
     """Rows reordered to manifest order after a strict 1:1 id join; rejects non-finite rows."""
-    by_id = {sid: row for sid, row in zip(ids, matrix)}
+    row_of = {sid: i for i, sid in enumerate(ids)}
     manifest_ids = [r["id"] for r in records]
-    missing = [i for i in manifest_ids if i not in by_id]
+    missing = [i for i in manifest_ids if i not in row_of]
     known = set(manifest_ids)
     extra = [i for i in ids if i not in known]
     if missing or extra:
@@ -103,7 +105,7 @@ def ingest_embeddings(ids: list[str], matrix: np.ndarray, records: list[dict]) -
             f"embedding ids do not join the manifest 1:1; "
             f"missing {len(missing)} (first {missing[:10]}), extra {len(extra)} (first {extra[:10]})"
         )
-    x = np.stack([by_id[i] for i in manifest_ids])
+    x = matrix[[row_of[i] for i in manifest_ids]]
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise EmbeddingFormatError(

@@ -376,24 +376,21 @@ def select_best(results: list[ProbeResult]) -> int:
 
 
 def grid_search(
+    specs: list[ProbeSpec],
     data_splits,
-    task: str,
-    n_classes: int,
     seed: int,
-    specs=None,
     workers: int = 1,
     max_epochs: int = MAX_EPOCHS,
     patience: int = PATIENCE,
 ):
     """Train every spec, select on validation, evaluate the winner on test once.
 
-    `data_splits` is ((x_train, y_train), (x_val, y_val), (x_test, y_test));
-    the test split is touched only by the final evaluation of the selected
-    probe. Returns (selected ProbeResult, all ProbeResults in grid order).
+    `specs` is `grid_specs(...)` for the full search or `[lm_default_spec(...)]`;
+    `data_splits` is ((x_train, y_train), (x_val, y_val), (x_test, y_test)).
+    The test split is touched only by the final evaluation of the selected
+    probe. Returns (selected ProbeResult, all ProbeResults in spec order).
     """
     train_xy, val_xy, test_xy = data_splits
-    if specs is None:
-        specs = grid_specs(task, n_classes)
     seeds = [derive_seed(seed, "probe-config", i) for i in range(len(specs))]
 
     def fit(i):

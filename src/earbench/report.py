@@ -1,11 +1,14 @@
-"""Summary table over probe result CSVs: representations x concepts."""
+"""Probe result CSVs, and the summary table over them: representations x concepts."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import io
 from pathlib import Path
 
-from .datasets import CONCEPTS
+from .datasets import CONCEPTS, write_atomic
+from .probe import ProbeSpec
 
 MISSING_CELL = "—"
 
@@ -27,6 +30,22 @@ ROW_TITLES = {
     "chroma": "Chroma",
     "aggregate": "Aggregate Handcrafted",
 }
+
+
+def write_result_csv(path, concept: str, representation: str, results):
+    """One row per ProbeResult, in order, with a column per ProbeSpec field.
+    Float spec fields are written `:g`, metrics to 6 decimals; only the
+    selected row has a test_metric."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["concept", "representation", *(f.name for f in dataclasses.fields(ProbeSpec))]
+                    + ["seed", "best_epoch", "epochs_run", "val_metric", "test_metric"])
+    for r in results:
+        spec = [f"{v:g}" if isinstance(v, float) else v for v in dataclasses.astuple(r.spec)]
+        test = "" if r.test_metric is None else f"{r.test_metric:.6f}"
+        writer.writerow([concept, representation, *spec, r.seed, r.best_epoch, r.epochs_run]
+                        + [f"{r.val_metric:.6f}", test])
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def load_result_cells(results_dir) -> dict[tuple[str, str], float]:

@@ -303,7 +303,7 @@ def test_grid_selection_beats_worst_config(corpus):
     splits = datasets.split_xy(x, y, kept_records, datasets.make_split(kept_records, "chords", SEED))
 
     selected, table = probe.grid_search(
-        splits, "classification", 4, SEED, workers=WORKERS, max_epochs=40
+        probe.grid_specs("classification", 4), splits, SEED, workers=WORKERS, max_epochs=40
     )
     assert len(table) == 216
     assert selected.val_metric == max(r.val_metric for r in table)

@@ -1,4 +1,7 @@
+import builtins
 import csv
+import errno
+import io
 import json
 import struct
 import time
@@ -16,6 +19,7 @@ from earbench.embeddings import (
     read_embeddings,
     write_embeddings,
 )
+from earbench.probe import ProbeResult, ProbeSpec, grid_specs
 
 
 def test_embedding_file_arithmetic():
@@ -128,45 +132,47 @@ def test_ingest_reports_mismatched_ids(rng):
 
 
 def _write_result_csv(path, concept, representation, test_metric):
-    rows = [
-        {
-            "concept": concept,
-            "representation": representation,
-            "normalize": True,
-            "model": "mlp",
-            "batch_size": 64,
-            "learning_rate": "0.001",
-            "dropout": "0.5",
-            "weight_decay": "0",
-            "task": "classification",
-            "n_classes": 4,
-            "seed": 0,
-            "best_epoch": 3,
-            "epochs_run": 14,
-            "val_metric": f"{test_metric + 0.01:.6f}",
-            "test_metric": f"{test_metric:.6f}",
-        }
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    spec = ProbeSpec(True, "mlp", 64, 1e-3, 0.5, 0.0, "classification", 4)
+    result = ProbeResult(spec, 3, 14, test_metric + 0.01, 0, test_metric)
+    report.write_result_csv(path, concept, representation, [result])
 
 
 def test_result_csv_holds_full_grid(tmp_path):
-    from earbench import probe as probe_mod
-    from earbench.cli import write_result_csv
-
-    specs = probe_mod.grid_specs("classification", 4)
-    results = [probe_mod.ProbeResult(s, 2, 13, 0.5, 99) for s in specs]
+    results = [ProbeResult(s, 2, 13, 0.5, 99) for s in grid_specs("classification", 4)]
     results[7].test_metric = 0.61
     path = tmp_path / "grid.csv"
-    write_result_csv(path, "chords", "chroma", results, 99)
+    report.write_result_csv(path, "chords", "chroma", results)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 216
     assert sum(1 for r in rows if r["test_metric"]) == 1  # only the selected row
     assert {r["model"] for r in rows} == {"linear", "mlp"}
+
+
+def test_result_csv_bytes(tmp_path):
+    """The exact text that report and the benchmark checks both parse."""
+    results = [
+        ProbeResult(ProbeSpec(True, "mlp", 64, 1e-3, 0.5, 0.0, "classification", 4), 3, 14, 0.75, 7, 0.912345),
+        ProbeResult(ProbeSpec(False, "linear", 256, 1e-5, 0.25, 1e-4, "classification", 4), 0, 11, 0.5, 8),
+        ProbeResult(ProbeSpec(False, "mlp", 64, 1e-4, 0.75, 1e-3, "classification", 4), 12, 23, 1 / 3, 9),
+    ]
+    path = tmp_path / "results.csv"
+    report.write_result_csv(path, "chords", "chroma", results)
+    assert path.read_bytes() == (
+        b"concept,representation,normalize,model,batch_size,learning_rate,dropout,weight_decay,"
+        b"task,n_classes,seed,best_epoch,epochs_run,val_metric,test_metric\r\n"
+        b"chords,chroma,True,mlp,64,0.001,0.5,0,classification,4,7,3,14,0.750000,0.912345\r\n"
+        b"chords,chroma,False,linear,256,1e-05,0.25,0.0001,classification,4,8,0,11,0.500000,\r\n"
+        b"chords,chroma,False,mlp,64,0.0001,0.75,0.001,classification,4,9,12,23,0.333333,\r\n"
+    )
+
+
+def test_report_skips_writer_temp_files(tmp_path):
+    _write_result_csv(tmp_path / "a.csv", "chords", "chroma", 0.9)
+    # what an interrupted write of b.csv leaves behind; its rows must not count
+    _write_result_csv(tmp_path / "b.csv", "notes", "mel", 0.8)
+    (tmp_path / "b.csv").rename(tmp_path / ".b.csv.12345.tmp")
+    assert report.load_result_cells(tmp_path) == {("chroma", "chords"): 0.9}
 
 
 def test_report_single_cell(tmp_path):
@@ -302,3 +308,62 @@ def test_cli_extract_same_bytes_with_one_or_two_workers(tmp_path):
                      "--out", str(emb), "--workers", workers]) == 0
         outputs.append(emb.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def chords_run(tmp_path_factory):
+    """A small chords dataset with its chroma embeddings and one probe result."""
+    root = tmp_path_factory.mktemp("chords_run")
+    data, emb, results = root / "data", root / "chords_chroma.emb", root / "results"
+    results.mkdir()
+    assert main(["generate", "--concept", "chords", "--out", str(data), "--seed", "5",
+                 "--subsample", "0.0008", "--workers", "1"]) == 0
+    assert main(["extract", "--concept", "chords", "--data", str(data), "--feature", "chroma",
+                 "--out", str(emb), "--workers", "1"]) == 0
+    assert main(["probe", "--concept", "chords", "--data", str(data), "--embeddings", str(emb),
+                 "--preset", "lm-default", "--out", str(results / "chords_chroma.csv")]) == 0
+    return data, emb, results
+
+
+class _HalfWrite:
+    """A file whose first write stores half its data, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("command", ["extract", "probe", "report"])
+def test_cli_output_cut_off_midway_leaves_no_file(chords_run, tmp_path, monkeypatch, capsys, command):
+    data, emb, results = chords_run
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "extract": ["extract", "--concept", "chords", "--data", str(data), "--feature", "chroma",
+                    "--out", str(out / "chords_chroma.emb"), "--workers", "1"],
+        "probe": ["probe", "--concept", "chords", "--data", str(data), "--embeddings", str(emb),
+                  "--preset", "lm-default", "--out", str(out / "chords_chroma.csv")],
+        "report": ["report", "--results", str(results), "--out", str(out / "table.md")],
+    }[command]
+    real_open = io.open
+
+    def cutting_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _HalfWrite(fh) if "w" in mode and Path(file).parent == out else fh
+
+    # every way of opening a file for writing: Path.write_*, open() and io.open()
+    monkeypatch.setattr(io, "open", cutting_open)
+    monkeypatch.setattr(builtins, "open", cutting_open)
+    assert main(argv) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert list(out.iterdir()) == []

@@ -291,7 +291,7 @@ def test_grid_search_contract(rng):
         ProbeSpec(False, "linear", 64, lr, 0.25, 0.0, "classification", 2)
         for lr in (1e-5, 1e-3)
     ]
-    selected, table = grid_search(splits, "classification", 2, seed=4, specs=specs, max_epochs=10)
+    selected, table = grid_search(specs, splits, seed=4, max_epochs=10)
     assert len(table) == 2
     assert selected.val_metric == max(r.val_metric for r in table)
     assert selected.test_metric is not None
@@ -311,7 +311,7 @@ def test_grid_search_trains_each_spec_then_the_winner(rng, monkeypatch, n_specs)
     x, y = blobs(rng, n_per=40)
     splits = ((x[:50], y[:50]), (x[50:65], y[50:65]), (x[65:], y[65:]))
     specs = [ProbeSpec(False, "linear", 64, lr, 0.25, 0.0, "classification", 2) for lr in (1e-5, 1e-4, 1e-3)]
-    selected, table = grid_search(splits, "classification", 2, seed=4, specs=specs[:n_specs], max_epochs=5)
+    selected, table = grid_search(specs[:n_specs], splits, seed=4, max_epochs=5)
     # one training for a single spec; k > 1 specs train once each, then the winner once more
     assert len(calls) == (1 if n_specs == 1 else n_specs + 1)
     assert calls[-1] == selected.spec
@@ -326,7 +326,7 @@ def test_grid_search_parallel_matches_serial(rng):
         for norm in (False, True)
         for model in ("linear", "mlp")
     ]
-    serial = grid_search(splits, "classification", 2, seed=8, specs=specs, max_epochs=8)
-    parallel = grid_search(splits, "classification", 2, seed=8, specs=specs, max_epochs=8, workers=2)
+    serial = grid_search(specs, splits, seed=8, max_epochs=8)
+    parallel = grid_search(specs, splits, seed=8, max_epochs=8, workers=2)
     assert serial[0] == parallel[0]
     assert serial[1] == parallel[1]
