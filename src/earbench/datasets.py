@@ -82,13 +82,17 @@ def _offset_s(rng_seed: int, high: float) -> float:
     return float(np.random.default_rng(rng_seed).uniform(0.0, high))
 
 
-# Per concept: the axes crossed in enumeration order, the sample id of a point,
-# and the concept's own fields for (rng_seed, *point) in manifest key order.
+# Per concept: the axes crossed in enumeration order; per axis, the piece of
+# the sample id that a value spells (an id joins one piece per axis, so each
+# piece is formatted once per value, not once per point); the label of a point
+# (its LABEL_FIELDS value); and the concept's own fields for (rng_seed, *point)
+# in manifest key order.
 _RECORD_TABLE = {
     "tempo": (
-        (range(len(synth.CLICK_SETTINGS)), theory.TEMPO_RANGE_BPM, range(5)),
-        lambda click, bpm, o: f"tempo_b{bpm:03d}_c{click}_o{o}",
-        lambda rng_seed, click, bpm, o: {
+        (theory.TEMPO_RANGE_BPM, range(len(synth.CLICK_SETTINGS)), range(5)),
+        (lambda bpm: f"tempo_b{bpm:03d}", lambda click: f"_c{click}", lambda o: f"_o{o}"),
+        lambda bpm, click, o: bpm,
+        lambda rng_seed, bpm, click, o: {
             "bpm": bpm, "click_id": click, "offset_index": o,
             # within one bar, and early enough that a second click still lands
             "offset_s": _offset_s(rng_seed, min(4 * 60.0 / bpm, synth.CLIP_SECONDS - 60.0 / bpm)),
@@ -98,7 +102,9 @@ _RECORD_TABLE = {
     "time_signatures": (
         (theory.TIME_SIGNATURES, tuple(enumerate(synth.REVERB_LEVELS)),
          range(len(synth.CLICK_SETTINGS)), range(10)),
-        lambda sig, rev, click, o: f"timesig_{sig[0]:02d}-{sig[1]}_r{rev[0]}_c{click}_o{o}",
+        (lambda sig: f"timesig_{sig[0]:02d}-{sig[1]}", lambda rev: f"_r{rev[0]}",
+         lambda click: f"_c{click}", lambda o: f"_o{o}"),
+        lambda sig, rev, click, o: f"{sig[0]}/{sig[1]}",
         lambda rng_seed, sig, rev, click, o: {
             "time_signature": f"{sig[0]}/{sig[1]}", "numerator": sig[0], "denominator": sig[1],
             "click_id": click, "reverb_level": rev[1], "offset_index": o,
@@ -107,7 +113,8 @@ _RECORD_TABLE = {
     ),
     "notes": (
         (range(12), NOTES_OCTAVES, range(synth.NUM_TIMBRES)),
-        lambda pc, octave, inst: f"note_p{pc:02d}_o{octave + 1}_i{inst:02d}",
+        (lambda pc: f"note_p{pc:02d}", lambda octave: f"_o{octave + 1}", lambda inst: f"_i{inst:02d}"),
+        lambda pc, octave, inst: pc,
         lambda rng_seed, pc, octave, inst: {
             "pitch_class": pc, "octave": octave, "midi_note": theory.note_from(pc, octave),
             "timbre_id": inst, "reverb_level": "dry",
@@ -115,7 +122,9 @@ _RECORD_TABLE = {
     ),
     "intervals": (
         (range(12), range(1, 13), theory.PLAY_STYLES_INTERVAL, range(synth.NUM_TIMBRES)),
-        lambda pc, half_steps, style, inst: f"interval_p{pc:02d}_h{half_steps:02d}_{style}_i{inst:02d}",
+        (lambda pc: f"interval_p{pc:02d}", lambda half_steps: f"_h{half_steps:02d}",
+         lambda style: f"_{style}", lambda inst: f"_i{inst:02d}"),
+        lambda pc, half_steps, style, inst: half_steps,
         lambda rng_seed, pc, half_steps, style, inst: {
             "root_pitch_class": pc, "root_note": 60 + pc, "half_steps": half_steps,
             "play_style": style, "timbre_id": inst, "reverb_level": "dry",
@@ -123,7 +132,9 @@ _RECORD_TABLE = {
     ),
     "scales": (
         (theory.MODE_NAMES, range(12), theory.PLAY_STYLES_SCALE, range(synth.NUM_TIMBRES)),
-        lambda mode, pc, style, inst: f"scale_{mode}_p{pc:02d}_{style}_i{inst:02d}",
+        (lambda mode: f"scale_{mode}", lambda pc: f"_p{pc:02d}", lambda style: f"_{style}",
+         lambda inst: f"_i{inst:02d}"),
+        lambda mode, pc, style, inst: mode,
         lambda rng_seed, mode, pc, style, inst: {
             "mode": mode, "root_pitch_class": pc, "root_note": 60 + pc,
             "play_style": style, "timbre_id": inst, "reverb_level": "dry",
@@ -131,7 +142,9 @@ _RECORD_TABLE = {
     ),
     "chords": (
         (range(12), theory.CHORD_QUALITIES, theory.INVERSIONS, range(synth.NUM_TIMBRES)),
-        lambda pc, quality, inversion, inst: f"chord_p{pc:02d}_{quality}_{inversion}_i{inst:02d}",
+        (lambda pc: f"chord_p{pc:02d}", lambda quality: f"_{quality}", lambda inversion: f"_{inversion}",
+         lambda inst: f"_i{inst:02d}"),
+        lambda pc, quality, inversion, inst: quality,
         lambda rng_seed, pc, quality, inversion, inst: {
             "root_pitch_class": pc, "root_note": 60 + pc, "quality": quality,
             "inversion": inversion, "timbre_id": inst, "reverb_level": "dry",
@@ -139,7 +152,8 @@ _RECORD_TABLE = {
     ),
     "progressions": (
         (theory.PROGRESSIONS, range(12), range(synth.NUM_TIMBRES)),
-        lambda spec, pc, inst: f"prog_{spec.index:02d}_p{pc:02d}_i{inst:02d}",
+        (lambda spec: f"prog_{spec.index:02d}", lambda pc: f"_p{pc:02d}", lambda inst: f"_i{inst:02d}"),
+        lambda spec, pc, inst: spec.index,
         lambda rng_seed, spec, pc, inst: {
             "progression_index": spec.index, "progression": spec.text, "key_mode": spec.key_mode,
             "key_root": pc, "timbre_id": inst, "reverb_level": "dry",
@@ -148,24 +162,30 @@ _RECORD_TABLE = {
 }
 
 
-def build_records(concept: str, seed: int) -> list[dict]:
-    """All manifest records for one concept, sorted by id."""
-    axes, make_id, fields = _RECORD_TABLE[concept]
+def build_records(concept: str, seed: int, fraction: float = 1.0) -> list[dict]:
+    """Manifest records for one concept, sorted by id: all of them, or the
+    stratified subsample that `subsample_ids` keeps at `fraction`.
+
+    Only the kept points get a derived seed and their fields, so the cost
+    grows with the records kept, not with the concept's size.
+    """
+    axes, id_pieces, label, fields = _RECORD_TABLE[concept]
+    pieces = [[piece(value) for value in axis] for piece, axis in zip(id_pieces, axes)]
+    points = dict(zip(map("".join, itertools.product(*pieces)), itertools.product(*axes)))
+    kept = subsample_ids([(sid, label(*point)) for sid, point in points.items()], concept, fraction, seed)
     records = []
-    for point in itertools.product(*axes):
-        sid = make_id(*point)
+    for sid in kept:
         rng_seed = derive_seed(seed, "sample", concept, sid)
         records.append(
             {
                 "id": sid,
                 "concept": concept,
-                **fields(rng_seed, *point),
+                **fields(rng_seed, *points[sid]),
                 "rng_seed": rng_seed,
                 "midi_path": f"midi/{sid}.mid",
                 "wav_path": f"audio/{sid}.wav",
             }
         )
-    records.sort(key=lambda r: r["id"])
     return records
 
 
@@ -327,24 +347,24 @@ def split_xy(x, y, records: list[dict], assignment: dict[str, str]):
     return tuple(parts)
 
 
-def subsample_records(records: list[dict], concept: str, fraction: float, seed: int) -> list[dict]:
-    """Deterministic stratified subsample: ceil(fraction * count) per class."""
+def subsample_ids(labelled: list[tuple[str, object]], concept: str, fraction: float, seed: int) -> list[str]:
+    """Deterministic stratified subsample of (id, label) pairs: the sorted ids
+    of ceil(fraction * count) seeded picks per class."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"subsample fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
-        return list(records)
-    field = LABEL_FIELDS[concept]
+        return sorted(sid for sid, _ in labelled)
     by_class: dict = {}
-    for r in records:
-        by_class.setdefault(r[field], []).append(r)
+    for sid, value in labelled:
+        by_class.setdefault(value, []).append(sid)
     kept = []
     for value in sorted(by_class):
-        group = sorted(by_class[value], key=lambda r: r["id"])
+        group = sorted(by_class[value])
         take = math.ceil(fraction * len(group))
         rng = np.random.default_rng(derive_seed(seed, "subsample", concept, value))
         picks = rng.permutation(len(group))[:take]
         kept.extend(group[i] for i in picks)
-    kept.sort(key=lambda r: r["id"])
+    kept.sort()
     return kept
 
 
@@ -360,6 +380,10 @@ def write_atomic(path, data: bytes):
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        # name the caller's path: the temporary one means nothing to the user
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -386,8 +410,7 @@ def generate_concept(
     workers: int = 1,
 ) -> list[dict]:
     """Build records, write the manifest, and render unless manifest_only."""
-    records = build_records(concept, seed)
-    records = subsample_records(records, concept, subsample, seed)
+    records = build_records(concept, seed, subsample)
     concept_dir = Path(out_root) / concept
     concept_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(records, concept_dir / "manifest.jsonl")
@@ -395,6 +418,8 @@ def generate_concept(
         return records
     (concept_dir / "midi").mkdir(exist_ok=True)
     (concept_dir / "audio").mkdir(exist_ok=True)
+    if concept not in RHYTHMIC_CONCEPTS:
+        synth.timbre_presets()  # built once here, then inherited by every forked worker
 
     def write_one(record):
         write_atomic(concept_dir / record["midi_path"], smf.encode_smf(build_midi(record)))

@@ -23,6 +23,7 @@ import numpy as np
 from .datasets import write_atomic
 
 MAGIC = b"SYNEMB1"
+CHECK_BLOCK_BYTES = 1 << 18  # the non-finite row check's mask, one block of rows at a time
 
 
 class EmbeddingFormatError(ValueError):
@@ -106,9 +107,15 @@ def ingest_embeddings(ids: list[str], matrix: np.ndarray, records: list[dict]) -
             f"missing {len(missing)} (first {missing[:10]}), extra {len(extra)} (first {extra[:10]})"
         )
     x = matrix[[row_of[i] for i in manifest_ids]]
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
+    # checked in blocks of rows, so the mask stays one block, not one matrix
+    block = max(1, CHECK_BLOCK_BYTES // x.shape[1])
+    bad = [
+        start + i
+        for start in range(0, len(x), block)
+        for i in np.flatnonzero(~np.isfinite(x[start : start + block]).all(axis=1))
+    ]
+    if bad:
         raise EmbeddingFormatError(
-            f"non-finite values in {bad.size} rows (first {[manifest_ids[i] for i in bad[:10]]})"
+            f"non-finite values in {len(bad)} rows (first {[manifest_ids[i] for i in bad[:10]]})"
         )
     return x

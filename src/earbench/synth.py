@@ -92,28 +92,41 @@ def midi_to_hz(note: float) -> float:
 
 
 def _note_spans(seq: MidiSequence, duration_s: float):
-    """(start_s, end_s, note, velocity) for every note, note-offs defaulting to clip end."""
+    """(start_s, gate_s, note, velocity) for every note, note-offs defaulting to clip end.
+
+    Times count whole ticks from the last tempo change, and a note held within
+    one tempo takes its gate from its own tick length, so equal notes get equal
+    gates wherever they fall.
+    """
     us_per_quarter = 500_000
-    time_s = 0.0
-    open_notes: dict[tuple[int, int], list[tuple[float, int]]] = {}
+    tick = tempo_tick = 0
+    tempo_s = 0.0
+
+    def seconds(ticks):
+        return ticks * us_per_quarter / (seq.ppq * 1_000_000)
+
+    open_notes: dict[tuple[int, int], list[tuple[int, float, int]]] = {}
     spans = []
     for ev in seq.events:
-        time_s += ev.delta_ticks * us_per_quarter / (seq.ppq * 1_000_000)
+        tick += ev.delta_ticks
+        time_s = tempo_s + seconds(tick - tempo_tick)
         k = ev.kind
         if isinstance(k, TempoMeta):
+            tempo_tick, tempo_s = tick, time_s
             us_per_quarter = k.microseconds_per_quarter
         elif isinstance(k, NoteOn) and k.velocity > 0:
-            open_notes.setdefault((k.channel, k.note), []).append((time_s, k.velocity))
+            open_notes.setdefault((k.channel, k.note), []).append((tick, time_s, k.velocity))
         elif isinstance(k, NoteOff) or (isinstance(k, NoteOn) and k.velocity == 0):
             stack = open_notes.get((k.channel, k.note))
             if stack:
-                start, vel = stack.pop(0)
-                spans.append((start, time_s, k.note, vel))
+                start_tick, start_s, vel = stack.pop(0)
+                gate_s = seconds(tick - start_tick) if start_tick >= tempo_tick else time_s - start_s
+                spans.append((start_s, gate_s, k.note, vel))
         elif isinstance(k, EndOfTrack):
             break
     for (_, note), stack in open_notes.items():
-        for start, vel in stack:
-            spans.append((start, duration_s, note, vel))
+        for _, start_s, vel in stack:
+            spans.append((start_s, duration_s - start_s, note, vel))
     return spans
 
 
@@ -171,11 +184,11 @@ def render(seq: MidiSequence, preset: TimbrePreset, duration_s: float = CLIP_SEC
     sr = SAMPLE_RATE
     n_out = int(round(duration_s * sr))
     onsets = []
-    for start_s, end_s, note, velocity in _note_spans(seq, duration_s):
+    for start_s, gate_s, note, velocity in _note_spans(seq, duration_s):
         i0 = int(round(start_s * sr))
-        n = int(round((end_s + preset.adsr[3]) * sr)) + 1 - i0
+        n = int(round((start_s + gate_s + preset.adsr[3]) * sr)) + 1 - i0
         if i0 < n_out and n > 0:
-            onsets.append((i0, (note, velocity, end_s - start_s, n, start_s - i0 / sr)))
+            onsets.append((i0, (note, velocity, gate_s, n, start_s - i0 / sr)))
     # a wave is dropped after its last onset: holding waves that no later
     # onset plays grew and trimmed the heap around every clip, +14% per
     # scales clip, whose eight notes are all distinct
@@ -232,24 +245,27 @@ _ALLPASS_GAIN = 0.7
 _REVERB_TIME_S = {"medium": 1.2, "spacious": 2.5}
 
 
-def _add_echoes(y, x, delay, g, gain):
-    """y += gain * g**k * x delayed by (k + 1) * delay for k = 0, 1, ..., until the gain
-    falls to 1e-8 or the delay reaches the clip end; returns y."""
-    offset = delay
-    while offset < len(x) and gain > 1e-8:
-        y[offset:] += gain * x[: len(x) - offset]
-        gain *= g
-        offset += delay
-    return y
+_MIN_BLOCK = 512  # samples per numpy call in `_feedback`'s block loop
 
 
-def _comb(x, delay, g):
-    # scaled to unit DC gain so the wet path stays at the dry signal's level
-    return (1.0 - g) * _add_echoes(x.copy(), x, delay, g, g)
+def _feedback(w, x, delay, g, scratch):
+    """Set w[n] = x[n] + g * w[n - delay], in O(len(x)) work.
 
-
-def _allpass(x, delay, g):
-    return _add_echoes(-g * x, x, delay, g, 1.0 - g * g)
+    Unrolling one step, w[n] = (x[n] + g x[n - delay]) + g**2 w[n - 2 delay],
+    doubles the delay, so short delays are doubled up to `_MIN_BLOCK` samples.
+    Then each block of `delay` samples adds g times the block before it.
+    `scratch` is a work buffer as long as `x`.
+    """
+    np.copyto(w, x)
+    n = len(w)
+    while delay < min(_MIN_BLOCK, n):
+        np.multiply(w[: n - delay], g, out=scratch[: n - delay])
+        w[delay:] += scratch[: n - delay]
+        delay *= 2
+        g *= g
+    for i in range(delay, n, delay):
+        end = min(i + delay, n)
+        w[i:end] += g * w[i - delay : end - delay]
 
 
 def apply_reverb(clip: np.ndarray, level: str) -> np.ndarray:
@@ -258,13 +274,24 @@ def apply_reverb(clip: np.ndarray, level: str) -> np.ndarray:
     if wet_mix == 0.0:
         return clip.copy()
     rt60 = _REVERB_TIME_S[level]
+    # three clip-long buffers serve every filter: a fresh array per step
+    # cost more in page faults than the filters' arithmetic
     wet = np.zeros_like(clip)
+    w = np.empty_like(clip)
+    scratch = np.empty_like(clip)
     for delay in _COMB_DELAYS:
         g = 10.0 ** (-3.0 * (delay / SAMPLE_RATE) / rt60)
-        wet += _comb(clip, delay, g)
+        _feedback(w, clip, delay, g, scratch)
+        w *= 1.0 - g  # unit DC gain keeps the wet path at the dry signal's level
+        wet += w
     wet /= len(_COMB_DELAYS)
+    g = _ALLPASS_GAIN
     for delay in _ALLPASS_DELAYS:
-        wet = _allpass(wet, delay, _ALLPASS_GAIN)
+        # y[n] = -g x[n] + x[n - delay] + g y[n - delay]
+        _feedback(w, wet, delay, g, scratch)
+        wet *= -g
+        w *= 1.0 - g * g
+        wet[delay:] += w[:-delay]
     out = (1.0 - wet_mix) * clip + wet_mix * wet
     peak = np.max(np.abs(out)) if len(out) else 0.0
     if peak > 1.0:

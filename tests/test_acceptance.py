@@ -291,7 +291,7 @@ def test_criterion_7_external_embedding_path(work_dir):
 def test_grid_selection_beats_worst_config(corpus):
     """Desk-scale chords/chroma grid: selection is non-vacuous."""
     records = datasets.read_manifest(corpus["data"] / "chords" / "manifest.jsonl")
-    small = datasets.subsample_records(datasets.build_records("chords", SEED), "chords", 0.02, SEED)
+    small = datasets.build_records("chords", SEED, 0.02)
     small_ids = {r["id"] for r in small}
     # the 2% stratified pick is a prefix of the 10% pick, so rows already exist
     assert small_ids <= {r["id"] for r in records}

@@ -19,9 +19,9 @@ from earbench.datasets import (
     read_manifest,
     render_sample,
     split_xy,
-    subsample_records,
     write_manifest,
 )
+from earbench.seeds import derive_seed
 
 SEED = 7
 
@@ -225,7 +225,7 @@ def test_split_xy_keeps_record_order_per_split():
 def test_subsample_stratified_ceil(all_records):
     for concept in ("chords", "notes"):
         records = all_records[concept]
-        sub = subsample_records(records, concept, 0.1, SEED)
+        sub = build_records(concept, SEED, 0.1)
         full_counts = Counter(r[LABEL_FIELDS[concept]] for r in records)
         sub_counts = Counter(r[LABEL_FIELDS[concept]] for r in sub)
         for value, n in full_counts.items():
@@ -233,13 +233,45 @@ def test_subsample_stratified_ceil(all_records):
 
 
 def test_subsample_deterministic_and_sorted(all_records):
-    records = all_records["scales"]
-    a = subsample_records(records, "scales", 0.05, SEED)
-    b = subsample_records(records, "scales", 0.05, SEED)
+    a = build_records("scales", SEED, 0.05)
+    b = build_records("scales", SEED, 0.05)
     assert a == b
     assert [r["id"] for r in a] == sorted(r["id"] for r in a)
+    assert all(r in all_records["scales"] for r in a)
     with pytest.raises(ValueError):
-        subsample_records(records, "scales", 0.0, SEED)
+        build_records("scales", SEED, 0.0)
+
+
+def _reference_subsample(records, concept, fraction, seed):
+    """The record-level stratified subsample that generate ran over the
+    whole concept before it picked the kept ids first."""
+    if fraction == 1.0:
+        return list(records)
+    field = LABEL_FIELDS[concept]
+    by_class = {}
+    for r in records:
+        by_class.setdefault(r[field], []).append(r)
+    kept = []
+    for value in sorted(by_class):
+        group = sorted(by_class[value], key=lambda r: r["id"])
+        take = math.ceil(fraction * len(group))
+        rng = np.random.default_rng(derive_seed(seed, "subsample", concept, value))
+        kept.extend(group[i] for i in rng.permutation(len(group))[:take])
+    kept.sort(key=lambda r: r["id"])
+    return kept
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("concept", CONCEPTS)
+def test_subsample_first_manifest_matches_whole_concept_subsample(tmp_path, concept, seed):
+    """Picking the kept ids before building any record writes the manifest
+    that building every record and then subsampling wrote."""
+    records = build_records(concept, seed)
+    for fraction in (0.0009, 0.0015, 0.04, 0.1, 1.0):
+        generate_concept(concept, tmp_path, seed, subsample=fraction, manifest_only=True)
+        expected = tmp_path / "expected.jsonl"
+        write_manifest(_reference_subsample(records, concept, fraction, seed), expected)
+        assert (tmp_path / concept / "manifest.jsonl").read_bytes() == expected.read_bytes(), fraction
 
 
 def test_generate_concept_writes_layout(tmp_path):
@@ -290,9 +322,7 @@ def test_generate_leaves_no_partial_file(tmp_path, monkeypatch, failing):
     wavs = sorted((concept_dir / "audio").iterdir())
     assert len(wavs) == 2
     assert {w.stat().st_size for w in wavs} == {44 + 2 * synth.CLIP_SAMPLES}
-    assert read_manifest(concept_dir / "manifest.jsonl") == subsample_records(
-        build_records("chords", SEED), "chords", 0.002, SEED
-    )
+    assert read_manifest(concept_dir / "manifest.jsonl") == build_records("chords", SEED, 0.002)
 
 
 def test_generate_manifest_only_writes_no_audio(tmp_path):

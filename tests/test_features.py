@@ -311,10 +311,10 @@ def test_time_shift_robust_mean_pooling():
 # sha256 of each feature_vector's float64 bytes at seed 11
 PINNED_FEATURE_SHA256 = {
     "chord_p00_augmented_first_i01": {
-        "mel": "ce10f4972ccf6d3e87942a2e2bc2614633fe3ea18cbe4ef4609833a84c3ee2f4",
-        "mfcc": "769d5348adaa29a448fb80c578d887876d9c3b4d48585c3dea7c30fce67345a2",
+        "mel": "c7ac2b80e61991b5e884ae2c86b67181b3c76b2750c94268db9636954e7b7115",
+        "mfcc": "623b2ca1e31d755a389b10b507bb835553b92cd2ced9bce5e7aeadb6e06da4e3",
         "chroma": "3551eefc9811624805a566c5c1cb8cf37475e87626c40e3780196fbe563f470a",
-        "aggregate": "27e2f29961ab79eb317fc38cc1c6888eb71e59ff1bf24f6071819dc7334811d6",
+        "aggregate": "872e3abd021a24958f12f18155ef5cbc505331f9b5a7f91c569a57635c3700bb",
     },
     "timesig_02-2_r0_c0_o5": {
         "mel": "de8660688e233929f5b50b18548ef4e5974a51d3a71df088ab78a0997fc4cfc8",

@@ -5,6 +5,7 @@ import io
 import json
 import struct
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from earbench import report
 from earbench.cli import main
 from earbench.embeddings import (
+    CHECK_BLOCK_BYTES,
     MAGIC,
     EmbeddingFormatError,
     ingest_embeddings,
@@ -96,6 +98,28 @@ def test_ingest_rejects_non_finite_rows_by_id():
     matrix[3, 0] = -np.inf
     with pytest.raises(EmbeddingFormatError, match=r"non-finite values in 2 rows \(first \['r1', 'r3'\]\)"):
         ingest_embeddings([r["id"] for r in records], matrix, records)
+
+
+def test_ingest_peak_memory_is_one_copy_plus_one_block(rng):
+    """The non-finite check masks one block of rows at a time: ingest's peak
+    is the gathered copy plus one block, plus the id join's dicts and lists
+    (about 380 KB for 4,000 ids), where a whole-matrix mask adds 4 MB."""
+    ids = [f"r{i:04d}" for i in range(4000)]
+    records = [{"id": sid} for sid in reversed(ids)]
+    matrix = rng.standard_normal((4000, 1000)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        x = ingest_embeddings(ids, matrix, records)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + CHECK_BLOCK_BYTES + 512 * 1024
+    # rows in different blocks are reported in manifest order
+    matrix[[5, 3990], [0, 999]] = np.nan
+    with pytest.raises(EmbeddingFormatError, match=r"non-finite values in 2 rows \(first \['r3990', 'r0005'\]\)"):
+        ingest_embeddings(ids, matrix, records)
 
 
 FULL_CORPUS_IDS = 39_744  # the intervals concept, the largest
@@ -310,6 +334,18 @@ def test_cli_extract_same_bytes_with_one_or_two_workers(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("concept, subsample", [("chords", "0.002"), ("time_signatures", "0.02")])
+def test_cli_generate_same_files_with_one_or_two_workers(tmp_path, concept, subsample):
+    trees = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["generate", "--concept", concept, "--out", str(out), "--seed", "11",
+                     "--subsample", subsample, "--workers", workers]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(trees[0]) > 40  # manifest, MIDI and WAV files
+    assert trees[0] == trees[1]
+
+
 @pytest.fixture(scope="module")
 def chords_run(tmp_path_factory):
     """A small chords dataset with its chroma embeddings and one probe result."""
@@ -367,3 +403,21 @@ def test_cli_output_cut_off_midway_leaves_no_file(chords_run, tmp_path, monkeypa
     assert main(argv) == 1
     assert "No space left on device" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["extract", "probe"])
+def test_cli_write_error_names_out_path(chords_run, tmp_path, capsys, command):
+    """An --out inside a missing directory fails naming that path, not the
+    temporary file beside it."""
+    data, emb, _ = chords_run
+    out = tmp_path / "nodir" / "x.out"
+    argv = {
+        "extract": ["extract", "--concept", "chords", "--data", str(data), "--feature", "chroma",
+                    "--out", str(out), "--workers", "1"],
+        "probe": ["probe", "--concept", "chords", "--data", str(data), "--embeddings", str(emb),
+                  "--preset", "lm-default", "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: [Errno 2] No such file or directory: '{out}'" in err
+    assert ".tmp" not in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from earbench import synth
-from earbench.datasets import build_midi, build_records
+from earbench.datasets import build_midi, build_records, render_sample
 from earbench.midi import EndOfTrack, MidiEvent, MidiSequence, NoteOff, NoteOn, TempoMeta
 from earbench.synth import (
     CLICK_SETTINGS,
@@ -21,7 +21,7 @@ from earbench.synth import (
     write_wav,
 )
 from random_midi import make_random_sequence
-from synth_reference import reference_render
+from synth_reference import reference_note_spans, reference_render, reference_reverb
 
 # measured minimum pairwise preset distance is 0.0157 (profile L2 + centroid kHz)
 TIMBRE_DISTANCE_THRESHOLD = 0.0078
@@ -91,9 +91,9 @@ def test_render_amplitude_bounded():
     assert np.max(np.abs(clip)) <= 1.0
 
 
-def _assert_within_reference_tolerance(got, ref):
-    """float64 within 1e-11 absolute, 16-bit WAV samples within 1 LSB."""
-    assert np.abs(got - ref).max() <= 1e-11
+def _assert_within_reference_tolerance(got, ref, atol=1e-11):
+    """float64 within `atol`, 16-bit WAV samples within 1 LSB."""
+    assert np.abs(got - ref).max() <= atol
     wav_got = np.frombuffer(write_wav(got)[44:], "<i2").astype(np.int32)
     wav_ref = np.frombuffer(write_wav(ref)[44:], "<i2").astype(np.int32)
     assert np.abs(wav_got - wav_ref).max() <= 1
@@ -126,7 +126,7 @@ def test_render_matches_note_by_note_reference_on_random_sequences():
     for seed in range(40):
         seq = make_random_sequence(np.random.default_rng(seed), pitches=(60, 64))
         preset = presets[(7 * seed) % len(presets)]
-        spans = synth._note_spans(seq, synth.CLIP_SECONDS)
+        spans = reference_note_spans(seq, synth.CLIP_SECONDS)
         heard = [(s, e, n) for s, e, n, _ in spans if round(s * SAMPLE_RATE) < CLIP_SAMPLES]
         sub_sample += sum(round(s * SAMPLE_RATE) != s * SAMPLE_RATE for s, _, _ in heard)
         cut += sum(round((e + preset.adsr[3]) * SAMPLE_RATE) + 1 > CLIP_SAMPLES for _, e, _ in heard)
@@ -135,6 +135,51 @@ def test_render_matches_note_by_note_reference_on_random_sequences():
         )
         _assert_within_reference_tolerance(render(seq, preset), reference_render(seq, preset))
     assert min(sub_sample, overlapping, cut) > 0
+
+
+# sha256 of the WAV bytes of one seed-11 clip per tonal concept and one clip
+# per reverb level
+WAV_SHA256 = {
+    "note_p11_o8_i86": "2916fe3e7b51f5a0a6bc7f351fcc1ee6176c2a611f97a716c2e074c8a98a71ce",
+    "interval_p11_h12_up_i86": "791e5e31a57e31e6fd99f2f3ad69ea111c7fe8cc3775c9e2210a271c5993fcf2",
+    "scale_phrygian_p11_descending_i86": "0d264f82bf003b9244e7c4a2733625ececbae74af35fec9b7095fdc60f9e3a6b",
+    "chord_p03_augmented_first_i81": "c9c5e0fa92255347a8dff3ccd64a919940006c4dd33d2fcbf779112f54174460",
+    "prog_06_p04_i01": "2b36d9a733c741555c8d28a0916ab4b183e2a49a2e58b2e8db9a8c14f7abcc3e",
+    "timesig_06-8_r0_c2_o3": "e7107e57627a438c13a54be505e3eb8f112489af353106c1c79719e5204e08fd",
+    "timesig_06-8_r1_c2_o3": "ba89d6d2891c0b6a1e7b30788dce261e6110af43ce3b629ce90731daffa78926",
+    "timesig_06-8_r2_c2_o3": "b61d46f9885cff98f812b156db65ae5ca6fb9250f347a799a3afbcc4000dbd80",
+}
+
+_ID_CONCEPTS = {"note": "notes", "interval": "intervals", "scale": "scales", "chord": "chords",
+                "prog": "progressions", "timesig": "time_signatures"}
+
+
+def _record(sample_id, seed=11):
+    concept = _ID_CONCEPTS[sample_id.split("_")[0]]
+    return next(r for r in build_records(concept, seed) if r["id"] == sample_id)
+
+
+@pytest.mark.parametrize("sample_id", sorted(WAV_SHA256))
+def test_rendered_wav_bytes_pinned(sample_id):
+    wav = write_wav(render_sample(_record(sample_id)))
+    assert hashlib.sha256(wav).hexdigest() == WAV_SHA256[sample_id]
+
+
+@pytest.mark.parametrize("sample_id, waves", [("chord_p03_augmented_first_i81", 3), ("note_p11_o8_i86", 1)])
+def test_render_synthesizes_each_distinct_note_once(monkeypatch, sample_id, waves):
+    """Eight slots of one triad take three waves and eight repeats of one
+    note take one: tick-exact spans give every repeat the same gate."""
+    calls = []
+    real_note_wave = synth._note_wave
+
+    def note_wave(*args):
+        calls.append(args)
+        return real_note_wave(*args)
+
+    monkeypatch.setattr(synth, "_note_wave", note_wave)
+    record = _record(sample_id)
+    render(build_midi(record), timbre_presets()[record["timbre_id"]])
+    assert len(calls) == waves
 
 
 def test_pitch_correct_across_sampled_registers():
@@ -270,8 +315,8 @@ def test_reverb_impulse_tail(level):
 
 # sha256 of apply_reverb's float64 bytes on a fixed click clip
 REVERB_SHA256 = {
-    "medium": "a6dbf09e121472a00eb8580b4d3f99ea82c4e0bb2d91eed83da988b68380a05f",
-    "spacious": "0802f77a26c9667829626037388d20f8955a9a4d9fd31fb552e7fdfa56d2b696",
+    "medium": "bc56242b120c39a42d2e19524ffd1adfb9b48a405bae13e6977aa85bd2cffb92",
+    "spacious": "37fd5ec33ef38ed129b06a8ecd52c5845c6ad31d57c89e76c1985a6533954067",
 }
 
 
@@ -279,6 +324,20 @@ REVERB_SHA256 = {
 def test_reverb_bytes_pinned(level):
     clip = render_clicks([(0.25 * i, i % 4 == 0) for i in range(16)], CLICK_SETTINGS[2])
     assert hashlib.sha256(apply_reverb(clip, level).tobytes()).hexdigest() == REVERB_SHA256[level]
+
+
+@pytest.mark.parametrize("level", sorted(REVERB_SHA256))
+def test_reverb_matches_echo_sum_reference(level):
+    """The recursive combs and allpasses stay within 1e-7 of the truncated echo
+    sums (the sums drop echoes below a gain of 1e-8, and the allpass feeds them
+    back) and within 1 LSB once written as 16-bit WAV samples."""
+    impulse = np.zeros(CLIP_SAMPLES)
+    impulse[0] = 1.0
+    clips = [impulse, render_clicks([(0.25 * i, i % 4 == 0) for i in range(16)], CLICK_SETTINGS[2])]
+    # the dry clip of every time signature, one click setting and offset
+    clips += [render_sample(r) for r in build_records("time_signatures", 11) if r["id"].endswith("_r0_c2_o3")]
+    for clip in clips:
+        _assert_within_reference_tolerance(apply_reverb(clip, level), reference_reverb(clip, level), atol=1e-7)
 
 
 def test_reverb_lengthens_decay():
