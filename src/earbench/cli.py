@@ -21,23 +21,23 @@ from .parallel import parallel_map
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="earbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--workers", type=int, default=os.cpu_count() or 1)
 
-    gen = sub.add_parser("generate", help="synthesize concept datasets")
+    gen = sub.add_parser("generate", parents=[pool], help="synthesize concept datasets")
     gen.add_argument("--concept", required=True, choices=datasets.CONCEPTS + ["all"])
     gen.add_argument("--out", required=True, help="output root directory")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--subsample", type=float, default=1.0, help="stratified fraction in (0, 1]")
     gen.add_argument("--manifest-only", action="store_true", help="write manifests only, skip MIDI and audio")
-    gen.add_argument("--workers", type=int, default=os.cpu_count())
 
-    ext = sub.add_parser("extract", help="pool handcrafted features into an embedding file")
+    ext = sub.add_parser("extract", parents=[pool], help="pool handcrafted features into an embedding file")
     ext.add_argument("--concept", required=True, choices=datasets.CONCEPTS)
     ext.add_argument("--data", required=True, help="root directory written by generate")
     ext.add_argument("--feature", required=True, choices=FEATURE_KINDS)
     ext.add_argument("--out", required=True, help="embedding file path")
-    ext.add_argument("--workers", type=int, default=os.cpu_count())
 
-    prb = sub.add_parser("probe", help="train probes on an embedding file")
+    prb = sub.add_parser("probe", parents=[pool], help="train probes on an embedding file")
     prb.add_argument("--concept", required=True, choices=datasets.CONCEPTS)
     prb.add_argument("--data", required=True, help="root directory written by generate")
     prb.add_argument("--embeddings", required=True)
@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     prb.add_argument("--seed", type=int, default=0)
     prb.add_argument("--out", required=True, help="result CSV path")
     prb.add_argument("--name", help="representation label (default: embeddings file stem)")
-    prb.add_argument("--workers", type=int, default=os.cpu_count())
 
     rep = sub.add_parser("report", help="summarize probe result CSVs into a table")
     rep.add_argument("--results", required=True, help="directory of probe result CSVs")
@@ -56,6 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args, parser):
+    if not 0.0 < args.subsample <= 1.0:
+        parser.error(f"--subsample must be in (0, 1], got {args.subsample}")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -64,8 +65,6 @@ def cmd_generate(args, parser):
         probe_file.unlink()
     except OSError as exc:
         parser.error(f"output directory not writable: {exc}")
-    if not 0.0 < args.subsample <= 1.0:
-        parser.error(f"--subsample must be in (0, 1], got {args.subsample}")
     concepts = datasets.CONCEPTS if args.concept == "all" else [args.concept]
     for concept in concepts:
         records = datasets.generate_concept(
@@ -90,7 +89,7 @@ def cmd_extract(args):
             raise ValueError(f"unexpected clip format in {wav_path}: rate={rate} len={len(clip)}")
         return feature_vector(clip, args.feature).astype(np.float32)
 
-    rows = parallel_map(extract_one, [concept_dir / r["wav_path"] for r in records], args.workers or 1)
+    rows = parallel_map(extract_one, [concept_dir / r["wav_path"] for r in records], args.workers)
     matrix = np.stack(rows)
     write_embeddings_file(args.out, [r["id"] for r in records], matrix)
     print(f"{args.concept}/{args.feature}: {matrix.shape[0]} vectors, dim {matrix.shape[1]} -> {args.out}")
@@ -108,13 +107,11 @@ def cmd_probe(args):
     concept_dir = Path(args.data) / args.concept
     records = datasets.read_manifest(concept_dir / "manifest.jsonl")
     y, n_classes = datasets.class_labels(records, args.concept)
-    assignment = datasets.make_split(records, args.concept, args.seed)
-    splits = datasets.split_xy(
-        ingest_embeddings(*read_embeddings_file(args.embeddings), records), y, records, assignment
-    )
+    split = datasets.make_split(records, args.concept, args.seed)
+    splits = datasets.split_xy(ingest_embeddings(*read_embeddings_file(args.embeddings), records), y, split)
     task = datasets.CONCEPT_TASKS[args.concept]
     specs = probe.grid_specs(task, n_classes) if args.grid else [probe.lm_default_spec(task, n_classes)]
-    selected, results = probe.grid_search(specs, splits, args.seed, args.workers or 1)
+    selected, results = probe.grid_search(specs, splits, args.seed, args.workers)
     representation = args.name or Path(args.embeddings).stem
     report.write_result_csv(args.out, args.concept, representation, results)
     metric = "r2" if task == "regression" else "accuracy"

@@ -295,8 +295,8 @@ def render_sample(record: dict) -> np.ndarray:
 # splits and subsampling
 
 
-def make_split(records: list[dict], concept: str, seed: int) -> dict[str, str]:
-    """id -> train/validation/test.
+def make_split(records: list[dict], concept: str, seed: int) -> np.ndarray:
+    """Each record's split, "train", "validation" or "test", in manifest order.
 
     Classification concepts get a seeded shuffle and a 70/15/15 cut. Tempo
     trains on the middle 70% of BPM values; samples from the bottom and top
@@ -304,23 +304,23 @@ def make_split(records: list[dict], concept: str, seed: int) -> dict[str, str]:
     the extra sample when the extreme band is odd.
     """
     rng = np.random.default_rng(derive_seed(seed, "split", concept))
-    ids = [r["id"] for r in records]
+    split = np.full(len(records), "train", dtype="<U10")  # wide enough for "validation"
     if concept == "tempo":
         bpms = sorted({r["bpm"] for r in records})
         band = int(0.15 * len(bpms))
-        extreme_bpms = set(bpms[:band]) | set(bpms[-band:])
-        extreme_ids = [r["id"] for r in records if r["bpm"] in extreme_bpms]
-        extreme_set = set(extreme_ids)
-        perm = rng.permutation(len(extreme_ids))
-        half = (len(extreme_ids) + 1) // 2
-        assignment = {i: "train" for i in ids if i not in extreme_set}
-        for rank, idx in enumerate(perm):
-            assignment[extreme_ids[idx]] = "validation" if rank < half else "test"
-        return assignment
-    perm = rng.permutation(len(ids))
-    n_eval = round(0.15 * len(ids))
-    names = ["train"] * (len(ids) - 2 * n_eval) + ["validation"] * n_eval + ["test"] * n_eval
-    return {ids[idx]: name for idx, name in zip(perm, names)}
+        if band == 0:
+            raise ValueError(f"tempo split needs at least 7 distinct BPM values, got {len(bpms)}")
+        extreme_bpms = set(bpms[:band]) | set(bpms[len(bpms) - band :])
+        held = np.flatnonzero([r["bpm"] in extreme_bpms for r in records])
+        n_train, n_val = 0, (len(held) + 1) // 2
+    else:
+        held = np.arange(len(records))
+        n_val = round(0.15 * len(records))
+        n_train = len(records) - 2 * n_val
+    order = held[rng.permutation(len(held))]
+    split[order[n_train : n_train + n_val]] = "validation"
+    split[order[n_train + n_val :]] = "test"
+    return split
 
 
 def class_labels(records: list[dict], concept: str):
@@ -334,17 +334,10 @@ def class_labels(records: list[dict], concept: str):
     return np.array([index[r[field]] for r in records]), len(classes)
 
 
-def split_xy(x, y, records: list[dict], assignment: dict[str, str]):
-    """((x, y) train, (x, y) validation, (x, y) test) from rows that follow `records`.
-
-    `assignment` maps each record id to its split, as `make_split` returns it;
-    rows keep their record order within each split.
-    """
-    parts = []
-    for name in ("train", "validation", "test"):
-        idx = [i for i, r in enumerate(records) if assignment[r["id"]] == name]
-        parts.append((x[idx], y[idx]))
-    return tuple(parts)
+def split_xy(x, y, split: np.ndarray):
+    """((x, y) train, (x, y) validation, (x, y) test) from rows in manifest order.
+    `split` names each row's split, as `make_split` returns it; rows keep their order."""
+    return tuple((x[split == name], y[split == name]) for name in ("train", "validation", "test"))
 
 
 def subsample_ids(labelled: list[tuple[str, object]], concept: str, fraction: float, seed: int) -> list[str]:
@@ -397,8 +390,19 @@ def read_manifest(path) -> list[dict]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{number}: not a JSON record: {exc.msg}") from exc
+            if not isinstance(record, dict) or "id" not in record:
+                raise ValueError(f"{path}:{number}: not a record object with an id")
+            records.append(record)
+    return records
 
 
 def generate_concept(

@@ -25,7 +25,8 @@ N_MELS = 128
 N_MFCC = 20
 N_CHROMA = 12
 
-FEATURE_DIMS = {"mel": N_MELS * 6, "mfcc": N_MFCC * 6, "chroma": N_CHROMA * 6, "aggregate": 960}
+FEATURE_DIMS = {"mel": N_MELS * 6, "mfcc": N_MFCC * 6, "chroma": N_CHROMA * 6,
+                "aggregate": (N_MELS + N_CHROMA + N_MFCC) * 6}
 FEATURE_KINDS = list(FEATURE_DIMS)
 
 
@@ -64,9 +65,9 @@ def rfft(signal: np.ndarray, n: int | None = None) -> np.ndarray:
     return np.fft.rfft(x, n).astype(ctype, copy=False)
 
 
-@lru_cache(maxsize=4)
-def _hann(n: int) -> np.ndarray:
-    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
+@lru_cache(maxsize=1)
+def _hann() -> np.ndarray:
+    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW))
     w.setflags(write=False)
     return w
 
@@ -84,15 +85,15 @@ def mel_to_hz(m):
     return np.where(m < 15.0, m * 200.0 / 3.0, 1000.0 * np.exp(log_step * (np.maximum(m, 15.0) - 15.0)))
 
 
-@lru_cache(maxsize=4)
-def mel_filterbank(n_mels: int = N_MELS, window: int = WINDOW, sr: int = SAMPLE_RATE) -> np.ndarray:
-    """[n_mels x n_bins] triangular filters, area-normalized (Slaney style)."""
-    n_bins = window // 2 + 1
-    fft_freqs = np.arange(n_bins) * sr / window
-    mel_edges = np.linspace(0.0, float(hz_to_mel(sr / 2)), n_mels + 2)
+@lru_cache(maxsize=1)
+def mel_filterbank() -> np.ndarray:
+    """[N_MELS x n_bins] triangular filters, area-normalized (Slaney style)."""
+    n_bins = WINDOW // 2 + 1
+    fft_freqs = np.arange(n_bins) * SAMPLE_RATE / WINDOW
+    mel_edges = np.linspace(0.0, float(hz_to_mel(SAMPLE_RATE / 2)), N_MELS + 2)
     hz_edges = mel_to_hz(mel_edges)
-    fb = np.zeros((n_mels, n_bins))
-    for i in range(n_mels):
+    fb = np.zeros((N_MELS, n_bins))
+    for i in range(N_MELS):
         lo, center, hi = hz_edges[i], hz_edges[i + 1], hz_edges[i + 2]
         up = (fft_freqs - lo) / (center - lo)
         down = (hi - fft_freqs) / (hi - center)
@@ -101,13 +102,13 @@ def mel_filterbank(n_mels: int = N_MELS, window: int = WINDOW, sr: int = SAMPLE_
     return fb
 
 
-@lru_cache(maxsize=4)
-def dct_ii_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II basis, [n x n]; row k is the k-th cosine."""
-    j = np.arange(n)
-    mat = np.cos(np.pi * np.outer(j, 2 * j + 1) / (2 * n))
-    mat[0] *= np.sqrt(1.0 / n)
-    mat[1:] *= np.sqrt(2.0 / n)
+@lru_cache(maxsize=1)
+def dct_ii_matrix() -> np.ndarray:
+    """Orthonormal DCT-II basis over the mel bands, [N_MELS x N_MELS]; row k is the k-th cosine."""
+    j = np.arange(N_MELS)
+    mat = np.cos(np.pi * np.outer(j, 2 * j + 1) / (2 * N_MELS))
+    mat[0] *= np.sqrt(1.0 / N_MELS)
+    mat[1:] *= np.sqrt(2.0 / N_MELS)
     mat.setflags(write=False)
     return mat
 
@@ -115,15 +116,16 @@ def dct_ii_matrix(n: int) -> np.ndarray:
 CHROMA_PAD = 4  # zero-padding factor; 2.7 Hz bins resolve semitones down to C2
 
 
-@lru_cache(maxsize=4)
-def _chroma_fold(n_fft: int, sr: int = SAMPLE_RATE) -> np.ndarray:
-    """[n_bins x 12] matrix folding FFT bins to the nearest semitone's pitch class.
+@lru_cache(maxsize=1)
+def _chroma_fold() -> np.ndarray:
+    """[n_bins x 12] matrix folding padded FFT bins to the nearest semitone's pitch class.
 
     Bins outside C1..C8 contribute nothing.
     """
+    n_fft = WINDOW * CHROMA_PAD
     n_bins = n_fft // 2 + 1
     fold = np.zeros((n_bins, N_CHROMA))
-    freqs = np.arange(1, n_bins) * sr / n_fft
+    freqs = np.arange(1, n_bins) * SAMPLE_RATE / n_fft
     midi = np.rint(69.0 + 12.0 * np.log2(freqs / 440.0)).astype(int)
     for k, m in zip(range(1, n_bins), midi):
         if 24 <= m <= 108:  # C1..C8
@@ -133,17 +135,16 @@ def _chroma_fold(n_fft: int, sr: int = SAMPLE_RATE) -> np.ndarray:
 
 
 def _chroma_from_frames(frames: np.ndarray) -> np.ndarray:
-    n_fft = frames.shape[1] * CHROMA_PAD
     # single precision: the padded transform dominates extraction cost and
     # chroma is max-normalized per frame anyway
-    power = np.abs(rfft(frames.astype(np.float32), n_fft)) ** 2
+    power = np.abs(rfft(frames.astype(np.float32), WINDOW * CHROMA_PAD)) ** 2
     # fold only spectral peaks: window-mainlobe shoulders otherwise leak more
     # summed energy into neighboring semitones than the true one at low pitch;
     # strict on the left, so a plateau of equal bins counts as one peak
     peaks = np.zeros_like(power)
     is_peak = (power[:, 1:-1] > power[:, :-2]) & (power[:, 1:-1] >= power[:, 2:])
     peaks[:, 1:-1] = np.where(is_peak, power[:, 1:-1], 0.0)
-    out = peaks @ _chroma_fold(n_fft)
+    out = peaks @ _chroma_fold()
     peak = out.max(axis=1, keepdims=True)
     return np.divide(out, peak, out=np.zeros_like(out), where=peak > 0)
 
@@ -186,12 +187,12 @@ def frame_features(clip: np.ndarray, kind: str) -> np.ndarray:
     if len(clip) < WINDOW:
         raise ValueError(f"clip shorter than the analysis window ({len(clip)} < {WINDOW})")
     starts = np.arange(1 + (len(clip) - WINDOW) // HOP) * HOP
-    frames = clip[starts[:, None] + np.arange(WINDOW)] * _hann(WINDOW)
+    frames = clip[starts[:, None] + np.arange(WINDOW)] * _hann()
     if kind == "chroma":
         return _chroma_from_frames(frames)
     mag = np.abs(rfft(frames, WINDOW))
     log_mel = np.log1p((mag * mag) @ mel_filterbank().T)
-    mfcc = log_mel @ dct_ii_matrix(N_MELS)[:N_MFCC].T
+    mfcc = log_mel @ dct_ii_matrix()[:N_MFCC].T
     if kind == "mel":
         return log_mel
     if kind == "mfcc":

@@ -117,7 +117,7 @@ def _views(flat: np.ndarray, shapes: dict) -> dict:
     return views
 
 
-def _init_params(spec: ProbeSpec, d_in: int, rng: np.random.Generator, y_train=None):
+def _init_params(spec: ProbeSpec, d_in: int, rng: np.random.Generator, y_train):
     """(flat float32 buffer, dict of named parameter views into it)."""
     d_out = spec.n_classes if spec.task == "classification" else 1
     if spec.model == "linear":
@@ -137,7 +137,7 @@ def _init_params(spec: ProbeSpec, d_in: int, rng: np.random.Generator, y_train=N
         for name, fan_in in (("W1", d_in), ("W2", HIDDEN_UNITS)):
             rng.standard_normal(dtype=np.float32, out=params[name])
             params[name] *= math.sqrt(2.0 / fan_in)
-    if spec.task == "regression" and y_train is not None:
+    if spec.task == "regression":
         # Adam at these learning rates cannot walk an output bias to ~100 in
         # 200 epochs, so start the intercept at the training-target mean.
         params["b" if spec.model == "linear" else "b2"][:] = float(np.mean(y_train))
@@ -381,7 +381,6 @@ def grid_search(
     seed: int,
     workers: int = 1,
     max_epochs: int = MAX_EPOCHS,
-    patience: int = PATIENCE,
 ):
     """Train every spec, select on validation, evaluate the winner on test once.
 
@@ -394,7 +393,7 @@ def grid_search(
     seeds = [derive_seed(seed, "probe-config", i) for i in range(len(specs))]
 
     def fit(i):
-        return train(specs[i], train_xy, val_xy, seeds[i], max_epochs, patience)
+        return train(specs[i], train_xy, val_xy, seeds[i], max_epochs)
 
     if len(specs) == 1:
         probe, result = fit(0)

@@ -20,7 +20,7 @@ from .seeds import rng_for
 
 SAMPLE_RATE = 22050
 CLIP_SECONDS = 4.0
-CLIP_SAMPLES = 88200
+CLIP_SAMPLES = int(CLIP_SECONDS * SAMPLE_RATE)
 NYQUIST = SAMPLE_RATE / 2
 
 NUM_TIMBRES = 92
@@ -91,7 +91,7 @@ def midi_to_hz(note: float) -> float:
     return 440.0 * 2.0 ** ((note - 69.0) / 12.0)
 
 
-def _note_spans(seq: MidiSequence, duration_s: float):
+def _note_spans(seq: MidiSequence):
     """(start_s, gate_s, note, velocity) for every note, note-offs defaulting to clip end.
 
     Times count whole ticks from the last tempo change, and a note held within
@@ -126,7 +126,7 @@ def _note_spans(seq: MidiSequence, duration_s: float):
             break
     for (_, note), stack in open_notes.items():
         for _, start_s, vel in stack:
-            spans.append((start_s, duration_s - start_s, note, vel))
+            spans.append((start_s, CLIP_SECONDS - start_s, note, vel))
     return spans
 
 
@@ -174,33 +174,31 @@ def _note_wave(preset: TimbrePreset, note, velocity, gate_s, n, offset_s) -> np.
     return gain * env * sig
 
 
-def render(seq: MidiSequence, preset: TimbrePreset, duration_s: float = CLIP_SECONDS) -> np.ndarray:
-    """Render a MIDI sequence to a fixed-length mono clip through one preset.
+def render(seq: MidiSequence, preset: TimbrePreset) -> np.ndarray:
+    """Render a MIDI sequence to a CLIP_SECONDS mono clip through one preset.
 
     Each distinct note (pitch, velocity, gate, length and sub-sample onset)
     is synthesized once per call, at most a clip long, and mixed in at every
     onset that plays it, cut off at the clip end.
     """
-    sr = SAMPLE_RATE
-    n_out = int(round(duration_s * sr))
     onsets = []
-    for start_s, gate_s, note, velocity in _note_spans(seq, duration_s):
-        i0 = int(round(start_s * sr))
-        n = int(round((start_s + gate_s + preset.adsr[3]) * sr)) + 1 - i0
-        if i0 < n_out and n > 0:
-            onsets.append((i0, (note, velocity, gate_s, n, start_s - i0 / sr)))
+    for start_s, gate_s, note, velocity in _note_spans(seq):
+        i0 = int(round(start_s * SAMPLE_RATE))
+        n = int(round((start_s + gate_s + preset.adsr[3]) * SAMPLE_RATE)) + 1 - i0
+        if i0 < CLIP_SAMPLES and n > 0:
+            onsets.append((i0, (note, velocity, gate_s, n, start_s - i0 / SAMPLE_RATE)))
     # a wave is dropped after its last onset: holding waves that no later
     # onset plays grew and trimmed the heap around every clip, +14% per
     # scales clip, whose eight notes are all distinct
     last_use = {key: i for i, (_, key) in enumerate(onsets)}
-    out = np.zeros(n_out)
+    out = np.zeros(CLIP_SAMPLES)
     waves: dict[tuple, np.ndarray] = {}
     for i, (i0, key) in enumerate(onsets):
         note, velocity, gate_s, n, offset_s = key
         wave = waves.pop(key, None)
         if wave is None:
-            wave = _note_wave(preset, note, velocity, gate_s, min(n, n_out), offset_s)
-        seg = min(n, n_out - i0)
+            wave = _note_wave(preset, note, velocity, gate_s, min(n, CLIP_SAMPLES), offset_s)
+        seg = min(n, CLIP_SAMPLES - i0)
         out[i0 : i0 + seg] += wave[:seg]
         if last_use[key] > i:
             waves[key] = wave
@@ -223,16 +221,15 @@ def _click_wave(setting_id: int, role: str) -> np.ndarray:
     return wave
 
 
-def render_clicks(pattern, click: ClickSetting, duration_s: float = CLIP_SECONDS) -> np.ndarray:
-    """Place percussive down/upbeat sounds at (time_s, is_downbeat) positions."""
-    n_out = int(round(duration_s * SAMPLE_RATE))
-    out = np.zeros(n_out)
+def render_clicks(pattern, click: ClickSetting) -> np.ndarray:
+    """Place percussive down/upbeat sounds at (time_s, is_downbeat) positions in a CLIP_SECONDS clip."""
+    out = np.zeros(CLIP_SAMPLES)
     for time_s, is_downbeat in pattern:
-        if not 0.0 <= time_s < duration_s:
-            raise ValueError(f"click time {time_s} outside [0, {duration_s})")
+        if not 0.0 <= time_s < CLIP_SECONDS:
+            raise ValueError(f"click time {time_s} outside [0, {CLIP_SECONDS})")
         wave = _click_wave(click.id, "down" if is_downbeat else "up")
         i0 = int(round(time_s * SAMPLE_RATE))
-        seg = min(len(wave), n_out - i0)
+        seg = min(len(wave), CLIP_SAMPLES - i0)
         out[i0 : i0 + seg] += wave[:seg]
     np.clip(out, -1.0, 1.0, out=out)
     return out
@@ -303,12 +300,11 @@ class WavParseError(ValueError):
     pass
 
 
-def write_wav(clip: np.ndarray, sample_rate: int = SAMPLE_RATE) -> bytes:
-    """RIFF/WAVE, PCM 16-bit little-endian, mono."""
+def write_wav(clip: np.ndarray) -> bytes:
+    """RIFF/WAVE, PCM 16-bit little-endian, mono, at SAMPLE_RATE."""
     ints = np.clip(np.rint(np.asarray(clip) * 32767.0), -32768, 32767).astype("<i2")
     data = ints.tobytes()
-    byte_rate = sample_rate * 2
-    fmt = struct.pack("<HHIIHH", 1, 1, sample_rate, byte_rate, 2, 16)
+    fmt = struct.pack("<HHIIHH", 1, 1, SAMPLE_RATE, SAMPLE_RATE * 2, 2, 16)
     size = 4 + (8 + len(fmt)) + (8 + len(data))
     return b"".join(
         [

@@ -247,12 +247,11 @@ def test_criterion_6_split_proportions():
     for concept in CONCEPTS:
         records = datasets.build_records(concept, SEED)
         split = datasets.make_split(records, concept, SEED)
-        counts = Counter(split.values())
+        counts = Counter(split.tolist())
         n = len(records)
         if concept == "tempo":
-            by_id = {r["id"]: r for r in records}
-            train_bpms = {by_id[i]["bpm"] for i, s in split.items() if s == "train"}
-            eval_bpms = {by_id[i]["bpm"] for i, s in split.items() if s != "train"}
+            train_bpms = {r["bpm"] for r, s in zip(records, split) if s == "train"}
+            eval_bpms = {r["bpm"] for r, s in zip(records, split) if s != "train"}
             if train_bpms != set(range(74, 187)) or eval_bpms & train_bpms:
                 problems.append("tempo band leakage")
         else:
@@ -300,7 +299,7 @@ def test_grid_selection_beats_worst_config(corpus):
     x = matrix[keep]
     kept_records = [records[i] for i in keep]
     y = np.array([theory.CHORD_QUALITIES.index(r["quality"]) for r in kept_records])
-    splits = datasets.split_xy(x, y, kept_records, datasets.make_split(kept_records, "chords", SEED))
+    splits = datasets.split_xy(x, y, datasets.make_split(kept_records, "chords", SEED))
 
     selected, table = probe.grid_search(
         probe.grid_specs("classification", 4), splits, SEED, workers=WORKERS, max_epochs=40

@@ -187,37 +187,66 @@ def test_progression_audio_uses_resolved_chords(all_records):
 def test_split_proportions_classification(all_records):
     records = all_records["time_signatures"]
     split = make_split(records, "time_signatures", SEED)
-    counts = Counter(split.values())
+    counts = Counter(split.tolist())
     assert counts == {"train": 840, "validation": 180, "test": 180}
-    assert set(split) == {r["id"] for r in records}
+    assert len(split) == len(records)
 
 
 def test_split_tempo_extrapolation_bands(all_records):
     records = all_records["tempo"]
     split = make_split(records, "tempo", SEED)
-    by_id = {r["id"]: r for r in records}
-    train_bpms = {by_id[i]["bpm"] for i, s in split.items() if s == "train"}
-    eval_bpms = {by_id[i]["bpm"] for i, s in split.items() if s != "train"}
+    train_bpms = {r["bpm"] for r, s in zip(records, split) if s == "train"}
+    eval_bpms = {r["bpm"] for r, s in zip(records, split) if s != "train"}
     assert train_bpms == set(range(74, 187))  # middle 113 of 161 values
     assert eval_bpms == set(range(50, 74)) | set(range(187, 211))
-    counts = Counter(split.values())
+    counts = Counter(split.tolist())
     assert counts["validation"] == counts["test"] == 600
     assert counts["train"] == 2825
 
 
 def test_split_deterministic(all_records):
     records = all_records["scales"]
-    assert make_split(records, "scales", 3) == make_split(records, "scales", 3)
-    assert make_split(records, "scales", 3) != make_split(records, "scales", 4)
+    assert np.array_equal(make_split(records, "scales", 3), make_split(records, "scales", 3))
+    assert not np.array_equal(make_split(records, "scales", 3), make_split(records, "scales", 4))
+
+
+def test_split_tempo_needs_seven_bpm_values():
+    records = [{"id": f"t{bpm}_{k}", "bpm": bpm} for bpm in range(100, 105) for k in range(2)]
+    with pytest.raises(ValueError, match="at least 7 distinct BPM values, got 5"):
+        make_split(records, "tempo", SEED)
+
+
+def test_split_tempo_seven_bpm_values_hold_out_one_band_each_side():
+    records = [{"id": f"t{bpm}_{k}", "bpm": bpm} for bpm in range(100, 107) for k in range(3)]
+    split = make_split(records, "tempo", SEED)
+    assert {r["bpm"] for r, s in zip(records, split) if s != "train"} == {100, 106}
+    assert Counter(split.tolist()) == {"train": 15, "validation": 3, "test": 3}
+
+
+# sha256 prefixes of each full concept's split names at seed 11, joined by
+# newlines in manifest order: the assignment every earlier result was probed on
+SPLIT_PINS = {
+    "tempo": "53aeb65dd1ef8463",
+    "time_signatures": "55b38ffa402b47fe",
+    "notes": "e0414ebfd71c8ffd",
+    "intervals": "66acf0b2ff4794c0",
+    "scales": "b68141afbe672501",
+    "chords": "e4949ed2dc0b3594",
+    "progressions": "356c1b574f281727",
+}
+
+
+@pytest.mark.parametrize("concept", CONCEPTS)
+def test_split_pinned_at_seed_11(concept):
+    split = make_split(build_records(concept, 11), concept, 11)
+    assert hashlib.sha256("\n".join(split).encode()).hexdigest().startswith(SPLIT_PINS[concept])
 
 
 def test_split_xy_keeps_record_order_per_split():
-    records = [{"id": f"r{i}"} for i in range(6)]
-    names = ["test", "train", "validation", "train", "test", "train"]
-    assignment = {r["id"]: name for r, name in zip(records, names)}
+    split = np.array(["test", "train", "validation", "train", "test", "train"])
     x = np.arange(12).reshape(6, 2)
     y = np.arange(6) * 10
-    (x_tr, y_tr), (x_va, y_va), (x_te, y_te) = split_xy(x, y, records, assignment)
+    (x_tr, y_tr), (x_va, y_va), (x_te, y_te) = split_xy(x, y, split)
     assert y_tr.tolist() == [10, 30, 50] and y_va.tolist() == [20] and y_te.tolist() == [0, 40]
     assert np.array_equal(x_tr, x[[1, 3, 5]]) and np.array_equal(x_te, x[[0, 4]])
 

@@ -3,6 +3,7 @@ import csv
 import errno
 import io
 import json
+import os
 import struct
 import time
 import tracemalloc
@@ -238,6 +239,42 @@ def test_cli_unwritable_output_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--concept", "notes", "--out", "/dev/null/sub", "--manifest-only"])
     assert exc.value.code == 2
+
+
+def test_cli_bad_subsample_creates_no_output_dir(tmp_path):
+    out = tmp_path / "new" / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--concept", "notes", "--out", str(out), "--subsample", "0"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "new").exists()
+
+
+def test_cli_workers_default_when_cpu_count_unknown(tmp_path, monkeypatch):
+    """`os.cpu_count()` returns None when the count is unknown: --workers then defaults to 1."""
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert main(["generate", "--concept", "time_signatures", "--out", str(tmp_path),
+                 "--subsample", "0.001"]) == 0
+    assert len(list((tmp_path / "time_signatures" / "audio").iterdir())) == 8
+
+
+@pytest.mark.parametrize("command", ["extract", "probe"])
+@pytest.mark.parametrize(
+    "bad_line, problem",
+    [('{"id": "b",}', "not a JSON record"), ('["b"]', "not a record object"), ('{"bpm": 90}', "not a record object")],
+)
+def test_cli_bad_manifest_line_names_file_and_line(tmp_path, capsys, command, bad_line, problem):
+    manifest = tmp_path / "chords" / "manifest.jsonl"
+    manifest.parent.mkdir()
+    manifest.write_text('{"id": "a"}\n\n' + bad_line + "\n")
+    argv = {
+        "extract": ["extract", "--concept", "chords", "--data", str(tmp_path), "--feature", "chroma",
+                    "--out", str(tmp_path / "x.emb")],
+        "probe": ["probe", "--concept", "chords", "--data", str(tmp_path), "--embeddings",
+                  str(tmp_path / "x.emb"), "--preset", "lm-default", "--out", str(tmp_path / "x.csv")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {manifest}:3: {problem}" in err
 
 
 def test_cli_missing_manifest_is_runtime_error(tmp_path, capsys):
