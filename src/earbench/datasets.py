@@ -286,9 +286,7 @@ def render_sample(record: dict) -> np.ndarray:
         clip = synth.render_clicks(click_pattern(record), click)
     else:
         clip = synth.render(build_midi(record), synth.timbre_presets()[record["timbre_id"]])
-    if record.get("reverb_level", "dry") != "dry":
-        clip = synth.apply_reverb(clip, record["reverb_level"])
-    return clip
+    return synth.apply_reverb(clip, record["reverb_level"])
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +325,9 @@ def class_labels(records: list[dict], concept: str):
     """(y, n_classes): float BPM targets and 0 for tempo; otherwise indices
     into the sorted class values, and their count."""
     field = LABEL_FIELDS[concept]
+    for r in records:
+        if field not in r:
+            raise ValueError(f"record {r['id']!r} has no {concept} label field {field!r}")
     if concept == "tempo":
         return np.array([float(r[field]) for r in records]), 0
     classes = sorted({r[field] for r in records})
@@ -345,8 +346,6 @@ def subsample_ids(labelled: list[tuple[str, object]], concept: str, fraction: fl
     of ceil(fraction * count) seeded picks per class."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"subsample fraction must be in (0, 1], got {fraction}")
-    if fraction == 1.0:
-        return sorted(sid for sid, _ in labelled)
     by_class: dict = {}
     for sid, value in labelled:
         by_class.setdefault(value, []).append(sid)
@@ -386,11 +385,18 @@ def write_manifest(records: list[dict], path: Path):
     write_atomic(path, "".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
 
 
+def _first_line(path, sample_id) -> int:
+    """The 1-based number of the first manifest line whose record has `sample_id`."""
+    with open(path, encoding="utf-8") as fh:
+        return next(n for n, line in enumerate(fh, start=1) if line.strip() and json.loads(line)["id"] == sample_id)
+
+
 def read_manifest(path) -> list[dict]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
     records = []
+    seen = set()  # not an id -> line dict: its 13k line-number ints raised probe's peak RSS by 1 MiB
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -399,9 +405,14 @@ def read_manifest(path) -> list[dict]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{number}: not a JSON record: {exc.msg}") from exc
-            if not isinstance(record, dict) or "id" not in record:
-                raise ValueError(f"{path}:{number}: not a record object with an id")
+            if not isinstance(record, dict) or not isinstance(record.get("id"), str):
+                raise ValueError(f"{path}:{number}: not a record object with a string id")
+            if record["id"] in seen:
+                raise ValueError(f"{path}:{number}: id {record['id']!r} repeats line {_first_line(path, record['id'])}")
+            seen.add(record["id"])
             records.append(record)
+    if not records:
+        raise ValueError(f"{path}: no records")
     return records
 
 

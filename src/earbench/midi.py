@@ -101,6 +101,8 @@ class MidiSequence:
             elif isinstance(k, TempoMeta):
                 if not 1 <= k.microseconds_per_quarter <= 0xFFFFFF:
                     raise MidiValidationError(f"tempo out of range at event {i}: {k}")
+            elif isinstance(k, EndOfTrack) and i < len(self.events) - 1:
+                raise MidiValidationError(f"EndOfTrack at event {i} before the last event")
         if any(n > 0 for n in open_notes.values()):
             raise MidiValidationError(f"unclosed notes: {open_notes}")
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .midi import EndOfTrack, MidiSequence, NoteOff, NoteOn, TempoMeta
+from .midi import MidiSequence, NoteOff, NoteOn, TempoMeta
 from .seeds import rng_for
 
 SAMPLE_RATE = 22050
@@ -92,11 +92,12 @@ def midi_to_hz(note: float) -> float:
 
 
 def _note_spans(seq: MidiSequence):
-    """(start_s, gate_s, note, velocity) for every note, note-offs defaulting to clip end.
+    """(start_s, gate_s, note, velocity) for every note of a valid sequence.
 
     Times count whole ticks from the last tempo change, and a note held within
     one tempo takes its gate from its own tick length, so equal notes get equal
-    gates wherever they fall.
+    gates wherever they fall. A velocity-0 note-on opens a silent note, as
+    `MidiSequence.validate` counts it.
     """
     us_per_quarter = 500_000
     tick = tempo_tick = 0
@@ -114,19 +115,12 @@ def _note_spans(seq: MidiSequence):
         if isinstance(k, TempoMeta):
             tempo_tick, tempo_s = tick, time_s
             us_per_quarter = k.microseconds_per_quarter
-        elif isinstance(k, NoteOn) and k.velocity > 0:
+        elif isinstance(k, NoteOn):
             open_notes.setdefault((k.channel, k.note), []).append((tick, time_s, k.velocity))
-        elif isinstance(k, NoteOff) or (isinstance(k, NoteOn) and k.velocity == 0):
-            stack = open_notes.get((k.channel, k.note))
-            if stack:
-                start_tick, start_s, vel = stack.pop(0)
-                gate_s = seconds(tick - start_tick) if start_tick >= tempo_tick else time_s - start_s
-                spans.append((start_s, gate_s, k.note, vel))
-        elif isinstance(k, EndOfTrack):
-            break
-    for (_, note), stack in open_notes.items():
-        for _, start_s, vel in stack:
-            spans.append((start_s, CLIP_SECONDS - start_s, note, vel))
+        elif isinstance(k, NoteOff):
+            start_tick, start_s, vel = open_notes[(k.channel, k.note)].pop(0)
+            gate_s = seconds(tick - start_tick) if start_tick >= tempo_tick else time_s - start_s
+            spans.append((start_s, gate_s, k.note, vel))
     return spans
 
 
@@ -177,10 +171,12 @@ def _note_wave(preset: TimbrePreset, note, velocity, gate_s, n, offset_s) -> np.
 def render(seq: MidiSequence, preset: TimbrePreset) -> np.ndarray:
     """Render a MIDI sequence to a CLIP_SECONDS mono clip through one preset.
 
-    Each distinct note (pitch, velocity, gate, length and sub-sample onset)
-    is synthesized once per call, at most a clip long, and mixed in at every
-    onset that plays it, cut off at the clip end.
+    The sequence must pass `MidiSequence.validate`, as `midi.encode_smf`'s
+    input does. Each distinct note (pitch, velocity, gate, length and
+    sub-sample onset) is synthesized once per call, at most a clip long, and
+    mixed in at every onset that plays it, cut off at the clip end.
     """
+    seq.validate()
     onsets = []
     for start_s, gate_s, note, velocity in _note_spans(seq):
         i0 = int(round(start_s * SAMPLE_RATE))

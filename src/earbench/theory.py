@@ -51,14 +51,6 @@ class RangeError(ValueError):
     """A note computation left the 0..127 MIDI range."""
 
 
-def pitch_class(midi_number: int) -> int:
-    return midi_number % 12
-
-
-def octave_of(midi_number: int) -> int:
-    return midi_number // 12 - 1
-
-
 def note_from(pc: int, octave: int) -> int:
     """MIDI number of pitch class `pc` (0..11) in `octave` (C4 = 60)."""
     if not 0 <= pc <= 11:
@@ -130,13 +122,8 @@ class RomanNumeral:
     @classmethod
     def parse(cls, text: str) -> "RomanNumeral":
         """Case encodes quality: uppercase major, lowercase minor, trailing ° diminished."""
-        body = text
-        diminished = False
-        for mark in ("°", "ᵒ", "o"):  # ° / superscript o / ascii fallback
-            if body.endswith(mark) and len(body) > len(mark):
-                body = body[: -len(mark)]
-                diminished = True
-                break
+        diminished = text.endswith("°")
+        body = text[:-1] if diminished else text
         numerals = {"i": 1, "ii": 2, "iii": 3, "iv": 4, "v": 5, "vi": 6, "vii": 7}
         degree = numerals.get(body.lower())
         if degree is None:

@@ -260,21 +260,58 @@ def test_cli_workers_default_when_cpu_count_unknown(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["extract", "probe"])
 @pytest.mark.parametrize(
     "bad_line, problem",
-    [('{"id": "b",}', "not a JSON record"), ('["b"]', "not a record object"), ('{"bpm": 90}', "not a record object")],
+    [('{"id": "b",}', "not a JSON record"), ('["b"]', "not a record object"), ('{"bpm": 90}', "not a record object"),
+     ('{"id": 5}', "not a record object with a string id")],
 )
 def test_cli_bad_manifest_line_names_file_and_line(tmp_path, capsys, command, bad_line, problem):
     manifest = tmp_path / "chords" / "manifest.jsonl"
     manifest.parent.mkdir()
     manifest.write_text('{"id": "a"}\n\n' + bad_line + "\n")
-    argv = {
-        "extract": ["extract", "--concept", "chords", "--data", str(tmp_path), "--feature", "chroma",
-                    "--out", str(tmp_path / "x.emb")],
-        "probe": ["probe", "--concept", "chords", "--data", str(tmp_path), "--embeddings",
-                  str(tmp_path / "x.emb"), "--preset", "lm-default", "--out", str(tmp_path / "x.csv")],
-    }[command]
-    assert main(argv) == 1
+    assert main(_chords_argv(tmp_path)[command]) == 1
     err = capsys.readouterr().err
     assert f"error: {manifest}:3: {problem}" in err
+
+
+def _chords_argv(root):
+    """extract and lm-default probe argv over the chords manifest under `root`, with x.emb and x.csv there."""
+    return {
+        "extract": ["extract", "--concept", "chords", "--data", str(root), "--feature", "chroma",
+                    "--out", str(root / "x.emb"), "--workers", "1"],
+        "probe": ["probe", "--concept", "chords", "--data", str(root), "--embeddings",
+                  str(root / "x.emb"), "--preset", "lm-default", "--out", str(root / "x.csv")],
+    }
+
+
+@pytest.mark.parametrize("command", ["extract", "probe"])
+def test_cli_empty_manifest_names_its_path(tmp_path, capsys, command):
+    manifest = tmp_path / "chords" / "manifest.jsonl"
+    manifest.parent.mkdir()
+    manifest.write_text("\n")
+    assert main(_chords_argv(tmp_path)[command]) == 1
+    assert f"error: {manifest}: no records" in capsys.readouterr().err
+
+
+def test_cli_record_without_label_field_names_id_and_field(tmp_path, capsys):
+    manifest = tmp_path / "chords" / "manifest.jsonl"
+    manifest.parent.mkdir()
+    manifest.write_text('{"id": "a", "quality": "major"}\n{"id": "b"}\n')
+    assert main(_chords_argv(tmp_path)["probe"]) == 1
+    assert "error: record 'b' has no chords label field 'quality'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "probe"])
+def test_cli_repeated_manifest_id_names_both_lines(chords_run, tmp_path, capsys, command):
+    """A repeated id would put one clip, and its embedding row, in two splits."""
+    data, emb, _ = chords_run
+    lines = (data / "chords" / "manifest.jsonl").read_text().splitlines(keepends=True)
+    manifest = tmp_path / "chords" / "manifest.jsonl"
+    manifest.parent.mkdir()
+    manifest.write_text("".join(lines + lines[1:2]))
+    (tmp_path / "chords" / "audio").symlink_to(data / "chords" / "audio")
+    (tmp_path / "x.emb").symlink_to(emb)
+    assert main(_chords_argv(tmp_path)[command]) == 1
+    sample_id = json.loads(lines[1])["id"]
+    assert f"error: {manifest}:{len(lines) + 1}: id {sample_id!r} repeats line 2" in capsys.readouterr().err
 
 
 def test_cli_missing_manifest_is_runtime_error(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from earbench import midi as smf
+from earbench.datasets import build_midi, build_records
 from earbench.midi import (
     EndOfTrack,
     MidiEvent,
@@ -137,6 +140,40 @@ def test_validation_rejects_unclosed_notes():
     seq = MidiSequence(480, [MidiEvent(0, NoteOn(0, 60, 96)), MidiEvent(0, EndOfTrack())])
     with pytest.raises(MidiValidationError):
         encode_smf(seq)
+
+
+def test_validation_rejects_end_of_track_before_last_event():
+    """Such a track would lose its tail in an SMF round trip: the decoder stops at the first EndOfTrack."""
+    seq = MidiSequence(
+        480,
+        [
+            MidiEvent(0, NoteOn(0, 60, 96)),
+            MidiEvent(0, EndOfTrack()),
+            MidiEvent(480, NoteOff(0, 60, 0)),
+            MidiEvent(0, EndOfTrack()),
+        ],
+    )
+    with pytest.raises(MidiValidationError, match="EndOfTrack at event 1"):
+        encode_smf(seq)
+
+
+# (concept, id, sha256 of its SMF bytes) for one seed-11 record per concept;
+# the progression is i-ii°-v-i, the one with a diminished chord
+MIDI_SHA256 = [
+    ("tempo", "tempo_b120_c0_o0", "aeb21f39f47ae08d251f52af7732f903be341786997ec8586c1f6fdd5dff5f42"),
+    ("time_signatures", "timesig_06-8_r1_c2_o3", "20726cec6d0472a75b1db6194554970d0ad432dedf029af77ecc2f29dd7def13"),
+    ("notes", "note_p11_o8_i86", "48fde3329b5dd088efc977863b7e372b3e2066c5972df1d1c6f52e00c269aef6"),
+    ("intervals", "interval_p11_h12_up_i86", "231355e86ee9d326b76b1b19e00b1a90e80ab0c3a0b413712e854c27015d64df"),
+    ("scales", "scale_phrygian_p11_descending_i86", "fbca077ccc551b84960a0d6a8d3d8d40e2f2bfc329fdb60ccc6239c448153c47"),
+    ("chords", "chord_p03_augmented_first_i81", "8be2c5e45dfa4ab41f1f194eb76df64eff429138e632646d9ca8ba99cfe25356"),
+    ("progressions", "prog_10_p00_i00", "71bb90a4f129fcb3add550174429c3913a77bb6a6caf25461b423fc609588e4a"),
+]
+
+
+@pytest.mark.parametrize("concept, sample_id, sha256", MIDI_SHA256)
+def test_generated_midi_bytes_pinned(concept, sample_id, sha256):
+    record = next(r for r in build_records(concept, 11) if r["id"] == sample_id)
+    assert hashlib.sha256(encode_smf(build_midi(record))).hexdigest() == sha256
 
 
 def test_smpte_division_rejected():

@@ -5,7 +5,7 @@ import pytest
 
 from earbench import synth
 from earbench.datasets import build_midi, build_records, render_sample
-from earbench.midi import EndOfTrack, MidiEvent, MidiSequence, NoteOff, NoteOn, TempoMeta
+from earbench.midi import EndOfTrack, MidiEvent, MidiSequence, MidiValidationError, NoteOff, NoteOn, TempoMeta
 from earbench.synth import (
     CLICK_SETTINGS,
     CLIP_SAMPLES,
@@ -75,8 +75,19 @@ def test_render_pure_sine_peaks_at_440():
 
 
 def test_render_empty_sequence_is_silence():
-    seq = MidiSequence(480, [MidiEvent(0, EndOfTrack())])
-    assert np.all(render(seq, timbre_presets()[0]) == 0.0)
+    """An empty track and a velocity-0 note, which `validate` counts as a note, are silent."""
+    empty = MidiSequence(480, [MidiEvent(0, EndOfTrack())])
+    assert np.all(render(empty, timbre_presets()[0]) == 0.0)
+    muted = MidiSequence(
+        480, [MidiEvent(0, NoteOn(0, 60, 0)), MidiEvent(480, NoteOff(0, 60, 0)), MidiEvent(0, EndOfTrack())]
+    )
+    assert np.all(render(muted, timbre_presets()[0]) == 0.0)
+
+
+def test_render_rejects_unclosed_note():
+    seq = MidiSequence(480, [MidiEvent(0, NoteOn(0, 60, 96)), MidiEvent(0, EndOfTrack())])
+    with pytest.raises(MidiValidationError, match="unclosed notes"):
+        render(seq, timbre_presets()[0])
 
 
 def test_render_amplitude_bounded():
@@ -137,9 +148,11 @@ def test_render_matches_note_by_note_reference_on_random_sequences():
     assert min(sub_sample, overlapping, cut) > 0
 
 
-# sha256 of the WAV bytes of one seed-11 clip per tonal concept and one clip
-# per reverb level
+# sha256 of the WAV bytes of one seed-11 clip per tonal concept, one clip
+# per reverb level, one tempo clip and the i-ii°-v-i progression
 WAV_SHA256 = {
+    "tempo_b120_c0_o0": "68743150a8e232002857a278dc2007225c6c2c06770ea3315ea46a91155d1795",
+    "prog_10_p00_i00": "349af5b54ad0b5402f3b96c86b77e8cb5eece0a2bebbd7a72156850da79838f7",
     "note_p11_o8_i86": "2916fe3e7b51f5a0a6bc7f351fcc1ee6176c2a611f97a716c2e074c8a98a71ce",
     "interval_p11_h12_up_i86": "791e5e31a57e31e6fd99f2f3ad69ea111c7fe8cc3775c9e2210a271c5993fcf2",
     "scale_phrygian_p11_descending_i86": "0d264f82bf003b9244e7c4a2733625ececbae74af35fec9b7095fdc60f9e3a6b",
@@ -150,7 +163,7 @@ WAV_SHA256 = {
     "timesig_06-8_r2_c2_o3": "b61d46f9885cff98f812b156db65ae5ca6fb9250f347a799a3afbcc4000dbd80",
 }
 
-_ID_CONCEPTS = {"note": "notes", "interval": "intervals", "scale": "scales", "chord": "chords",
+_ID_CONCEPTS = {"tempo": "tempo", "note": "notes", "interval": "intervals", "scale": "scales", "chord": "chords",
                 "prog": "progressions", "timesig": "time_signatures"}
 
 
