@@ -81,7 +81,11 @@ def cmd_generate(args, parser):
 
 def cmd_extract(args):
     concept_dir = Path(args.data) / args.concept
-    records = datasets.read_manifest(concept_dir / "manifest.jsonl")
+    manifest = concept_dir / "manifest.jsonl"
+    records = datasets.read_manifest(manifest)
+    for r in records:
+        if "wav_path" not in r:
+            raise ValueError(f"{manifest}: record {r['id']!r} has no 'wav_path'")
 
     def extract_one(wav_path):
         clip, rate = synth.read_wav(wav_path.read_bytes())

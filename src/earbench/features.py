@@ -8,13 +8,23 @@ wrappers; the DCT-II and the mel and chroma filterbanks are explicit
 matrices built here. Analysis parameters follow common 22 kHz conventions:
 2048-sample Hann window, 512 hop, 128 Slaney-style mel bands, 20 cepstral
 coefficients, 12 chroma bins folded over C1..C8.
+
+Frames are a strided view of the clip, transformed `BLOCK_FRAMES` at a time
+into buffers that one workspace per thread keeps from call to call, so a
+warm call allocates little beyond its result and a block's buffers stay in
+cache. A workspace holds the mel power and the chroma peak matrix of a
+whole clip plus one block's frames and spectra, 11 MiB for 4 s clips; it is
+built on the first call in each process that extracts, so every pool
+worker holds one.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .parallel import blas_threads
 from .synth import SAMPLE_RATE
@@ -24,6 +34,7 @@ HOP = 512
 N_MELS = 128
 N_MFCC = 20
 N_CHROMA = 12
+BLOCK_FRAMES = 32  # frames per transform call: one block's frames and spectra fit in L2
 
 FEATURE_DIMS = {"mel": N_MELS * 6, "mfcc": N_MFCC * 6, "chroma": N_CHROMA * 6,
                 "aggregate": (N_MELS + N_CHROMA + N_MFCC) * 6}
@@ -52,17 +63,17 @@ def fft(signal: np.ndarray, n: int | None = None) -> np.ndarray:
     return np.fft.fft(x, n).astype(ctype, copy=False)
 
 
-def rfft(signal: np.ndarray, n: int | None = None) -> np.ndarray:
+def rfft(signal: np.ndarray, n: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """FFT of real input along the last axis; the first n/2+1 bins.
 
-    Same size rules as `fft` (n >= 2); float32 input gives complex64.
+    Same size rules as `fft` (n >= 2); float32 input gives complex64,
+    anything else complex128. `out`, if given, receives the result and must
+    have its shape and dtype.
     """
     x = np.asarray(signal)
     if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
-    n = _fft_size(x, n, 2)
-    ctype = np.complex64 if x.dtype == np.float32 else np.complex128
-    return np.fft.rfft(x, n).astype(ctype, copy=False)
+    return np.fft.rfft(x, _fft_size(x, n, 2), out=out)
 
 
 @lru_cache(maxsize=1)
@@ -134,16 +145,78 @@ def _chroma_fold() -> np.ndarray:
     return fold
 
 
-def _chroma_from_frames(frames: np.ndarray) -> np.ndarray:
-    # single precision: the padded transform dominates extraction cost and
-    # chroma is max-normalized per frame anyway
-    power = np.abs(rfft(frames.astype(np.float32), WINDOW * CHROMA_PAD)) ** 2
-    # fold only spectral peaks: window-mainlobe shoulders otherwise leak more
-    # summed energy into neighboring semitones than the true one at low pitch;
-    # strict on the left, so a plateau of equal bins counts as one peak
-    peaks = np.zeros_like(power)
-    is_peak = (power[:, 1:-1] > power[:, :-2]) & (power[:, 1:-1] >= power[:, 2:])
-    peaks[:, 1:-1] = np.where(is_peak, power[:, 1:-1], 0.0)
+class _Workspace:
+    """Reused buffers for clips of `n_frames` frames: a block's frames and
+    spectra, and the two matrices the filterbank matmuls read whole."""
+
+    def __init__(self, n_frames: int):
+        n_bins = WINDOW // 2 + 1
+        n_padded = WINDOW * CHROMA_PAD // 2 + 1
+        mapped = np.flatnonzero(_chroma_fold().any(axis=1))
+        self.fold_rows = slice(int(mapped[0]), int(mapped[-1]) + 1)
+        n_mapped = self.fold_rows.stop - self.fold_rows.start
+        self.n_frames = n_frames
+        self.frames = np.empty((BLOCK_FRAMES, WINDOW))
+        self.spectrum = np.empty((BLOCK_FRAMES, n_bins), dtype=np.complex128)
+        self.frames32 = np.empty((BLOCK_FRAMES, WINDOW), dtype=np.float32)
+        self.rounded = np.empty((BLOCK_FRAMES, WINDOW))
+        self.padded = np.empty((BLOCK_FRAMES, n_padded), dtype=np.complex128)
+        self.padded32 = np.empty((BLOCK_FRAMES, n_mapped + 2), dtype=np.complex64)  # mapped bins and one each side
+        self.padded_power = np.empty((BLOCK_FRAMES, n_mapped + 2), dtype=np.float32)
+        self.is_peak = np.empty((BLOCK_FRAMES, n_mapped), dtype=bool)
+        self.not_below = np.empty((BLOCK_FRAMES, n_mapped), dtype=bool)
+        self.power = np.empty((n_frames, n_bins))
+        # bins the fold does not map stay zero: zero times a zero fold row adds +0
+        self.peaks = np.zeros((n_frames, n_padded))
+
+    def mel_block(self, frames: np.ndarray, rows: slice):
+        """Squared magnitude spectra of one block into `power[rows]`."""
+        power = self.power[rows]
+        np.abs(rfft(frames, WINDOW, out=self.spectrum[: len(frames)]), out=power)
+        np.multiply(power, power, out=power)
+
+    def chroma_block(self, frames: np.ndarray, rows: slice):
+        """Spectral peaks of one block's zero-padded transform into `peaks[rows]`,
+        on the bins the chroma fold maps.
+
+        Chroma keeps single precision: the frames and the spectrum are
+        rounded to float32, and the power and the peak picking are float32
+        arithmetic, held in float64 for the fold matmul. The transform in
+        between runs in float64, as numpy.fft runs it for float32 input (its
+        Python-int scale factor selects the float64 loop), but without
+        numpy's hidden whole-block cast buffers.
+        """
+        m = len(frames)
+        frames32 = self.frames32[:m]
+        frames32[...] = frames
+        rounded = self.rounded[:m]
+        rounded[...] = frames32
+        spectrum = rfft(rounded, WINDOW * CHROMA_PAD, out=self.padded[:m])
+        lo, hi = self.fold_rows.start, self.fold_rows.stop
+        spectrum32 = self.padded32[:m]
+        spectrum32[...] = spectrum[:, lo - 1 : hi + 1]
+        power = np.abs(spectrum32, out=self.padded_power[:m])
+        np.multiply(power, power, out=power)
+        # fold only spectral peaks: window-mainlobe shoulders otherwise leak more
+        # summed energy into neighboring semitones than the true one at low pitch;
+        # strict on the left, so a plateau of equal bins counts as one peak
+        mid = power[:, 1:-1]
+        is_peak = np.greater(mid, power[:, :-2], out=self.is_peak[:m])
+        is_peak &= np.greater_equal(mid, power[:, 2:], out=self.not_below[:m])
+        np.multiply(mid, is_peak, out=self.peaks[rows, lo:hi])
+
+
+_WORKSPACES = threading.local()  # one _Workspace per thread, so no two calls share buffers
+
+
+def _workspace(n_frames: int) -> _Workspace:
+    ws = getattr(_WORKSPACES, "current", None)
+    if ws is None or ws.n_frames != n_frames:
+        ws = _WORKSPACES.current = _Workspace(n_frames)
+    return ws
+
+
+def _normalized_chroma(peaks: np.ndarray) -> np.ndarray:
     out = peaks @ _chroma_fold()
     peak = out.max(axis=1, keepdims=True)
     return np.divide(out, peak, out=np.zeros_like(out), where=peak > 0)
@@ -178,26 +251,36 @@ def frame_features(clip: np.ndarray, kind: str) -> np.ndarray:
     energy normalized to unit maximum, and `aggregate` stacks mel, chroma
     and MFCC per frame. Chroma's padded transform runs only for `chroma` and
     `aggregate`: it would roughly triple the cost of `mel` and `mfcc`.
-    The filterbank matmuls run on one BLAS thread, so the float64 bits do
-    not depend on the machine's core count.
+    Frames are transformed `BLOCK_FRAMES` at a time into the thread's
+    workspace; the filterbank, DCT and fold matmuls then run once on whole
+    matrices, on one BLAS thread, so the float64 bits depend neither on the
+    block size nor on the machine's core count. The result never shares
+    memory with the workspace.
     """
     if kind not in FEATURE_DIMS:
         raise ValueError(f"unknown feature kind: {kind!r}")
     clip = np.asarray(clip, dtype=np.float64)
     if len(clip) < WINDOW:
         raise ValueError(f"clip shorter than the analysis window ({len(clip)} < {WINDOW})")
-    starts = np.arange(1 + (len(clip) - WINDOW) // HOP) * HOP
-    frames = clip[starts[:, None] + np.arange(WINDOW)] * _hann()
+    framed = sliding_window_view(clip, WINDOW)[::HOP]
+    ws = _workspace(len(framed))
+    for start in range(0, len(framed), BLOCK_FRAMES):
+        rows = slice(start, min(start + BLOCK_FRAMES, len(framed)))
+        frames = np.multiply(framed[rows], _hann(), out=ws.frames[: rows.stop - start])
+        if kind != "chroma":
+            ws.mel_block(frames, rows)
+        if kind in ("chroma", "aggregate"):
+            ws.chroma_block(frames, rows)
     if kind == "chroma":
-        return _chroma_from_frames(frames)
-    mag = np.abs(rfft(frames, WINDOW))
-    log_mel = np.log1p((mag * mag) @ mel_filterbank().T)
+        return _normalized_chroma(ws.peaks)
+    log_mel = ws.power @ mel_filterbank().T
+    np.log1p(log_mel, out=log_mel)
     mfcc = log_mel @ dct_ii_matrix()[:N_MFCC].T
     if kind == "mel":
         return log_mel
     if kind == "mfcc":
         return mfcc
-    return np.concatenate([log_mel, _chroma_from_frames(frames), mfcc], axis=1)
+    return np.concatenate([log_mel, _normalized_chroma(ws.peaks), mfcc], axis=1)
 
 
 def feature_vector(clip: np.ndarray, kind: str) -> np.ndarray:

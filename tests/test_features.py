@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from earbench import features, synth
 from earbench.features import (
+    BLOCK_FRAMES,
     FEATURE_DIMS,
     FEATURE_KINDS,
     HOP,
@@ -21,6 +23,7 @@ from earbench.features import (
 )
 from earbench.parallel import blas_threads, parallel_map
 from earbench.synth import CLIP_SAMPLES, SAMPLE_RATE
+from features_reference import frame_features as reference_frame_features
 
 
 def sine_clip(freq, amplitude=0.5, n=CLIP_SAMPLES):
@@ -28,13 +31,21 @@ def sine_clip(freq, amplitude=0.5, n=CLIP_SAMPLES):
     return amplitude * np.sin(2 * np.pi * freq * t)
 
 
+N_FRAMES = 1 + (CLIP_SAMPLES - WINDOW) // HOP
+BLOCKS = [min(BLOCK_FRAMES, N_FRAMES - start) for start in range(0, N_FRAMES, BLOCK_FRAMES)]  # rows per transform call
+
+
 def record_rfft(monkeypatch):
-    """Patch `features.rfft` to keep every spectrum it returns; returns that list."""
+    """Patch `features.rfft` to keep a copy of every spectrum it returns; returns that list.
+
+    Copies, because extraction transforms each block into buffers it reuses.
+    """
     spectra = []
 
-    def recording(signal, n=None):
-        spectra.append(rfft(signal, n))
-        return spectra[-1]
+    def recording(signal, n=None, out=None):
+        result = rfft(signal, n, out)
+        spectra.append(result.copy())
+        return result
 
     monkeypatch.setattr(features, "rfft", recording)
     return spectra
@@ -100,8 +111,9 @@ def test_fft_precision_follows_input():
 def test_stft_frame_count_and_silence(monkeypatch):
     spectra = record_rfft(monkeypatch)
     mel = frame_features(np.zeros(CLIP_SAMPLES), "mel")
-    (silent,) = spectra
-    assert silent.shape == (1 + (CLIP_SAMPLES - WINDOW) // HOP, WINDOW // 2 + 1)
+    assert [len(s) for s in spectra] == BLOCKS
+    silent = np.concatenate(spectra)
+    assert silent.shape == (N_FRAMES, WINDOW // 2 + 1)
     assert silent.shape[0] == mel.shape[0] == 169
     assert np.all(silent == 0.0)
 
@@ -111,25 +123,28 @@ def test_stft_sine_peak_bin(monkeypatch):
     frame_features(sine_clip(440.0), "mel")
     expected_bin = round(440 * WINDOW / SAMPLE_RATE)
     assert expected_bin == 41
-    assert np.all(np.abs(spectra[0]).argmax(axis=1) == expected_bin)
+    spectrum = np.concatenate(spectra)
+    assert len(spectrum) == 169
+    assert np.all(np.abs(spectrum).argmax(axis=1) == expected_bin)
 
 
 def test_rfft_calls_per_kind(monkeypatch):
-    """One transform per kind; only chroma and aggregate run chroma's padded one."""
+    """One transform per kind and block; only chroma and aggregate run chroma's padded one."""
     spectra = record_rfft(monkeypatch)
-    widths = {}
+    calls = {}
     for kind in FEATURE_KINDS:
         feature_vector(sine_clip(440.0), kind)
-        widths[kind] = [s.shape[1] for s in spectra]
+        calls[kind] = [(len(s), s.shape[1]) for s in spectra]  # (frames, bins) per call
         spectra.clear()
     mel_bins = WINDOW // 2 + 1
     chroma_bins = WINDOW * features.CHROMA_PAD // 2 + 1
-    assert widths == {
-        "mel": [mel_bins],
-        "mfcc": [mel_bins],
-        "chroma": [chroma_bins],
-        "aggregate": [mel_bins, chroma_bins],
+    assert calls == {
+        "mel": [(rows, mel_bins) for rows in BLOCKS],
+        "mfcc": [(rows, mel_bins) for rows in BLOCKS],
+        "chroma": [(rows, chroma_bins) for rows in BLOCKS],
+        "aggregate": [(rows, bins) for rows in BLOCKS for bins in (mel_bins, chroma_bins)],
     }
+    assert sum(BLOCKS) == N_FRAMES == 169
 
 
 def test_mel_filterbank_shape_and_coverage():
@@ -203,10 +218,11 @@ def test_chroma_two_bin_plateau_counts_once(monkeypatch):
     a_bin = round(440.0 * n_fft / SAMPLE_RATE)
     c_bin = round(523.25 * n_fft / SAMPLE_RATE)
     assert fold[a_bin, 9] == fold[a_bin + 1, 9] == fold[c_bin, 0] == 1.0
-    spectrum = np.zeros((1, n_fft // 2 + 1), dtype=np.complex64)
+    spectrum = np.zeros((1, n_fft // 2 + 1), dtype=np.complex128)
     spectrum[0, [a_bin, a_bin + 1, c_bin]] = 1.0  # A as an exact two-bin tie, C as one bin
-    monkeypatch.setattr(features, "rfft", lambda signal, n=None: spectrum)
-    ch = features._chroma_from_frames(np.zeros((1, WINDOW)))
+    monkeypatch.setattr(features, "rfft", lambda signal, n=None, out=None: spectrum)
+    ch = frame_features(np.zeros(WINDOW), "chroma")  # one frame, one padded transform
+    assert ch.shape == (1, 12)
     assert ch[0, 9] == ch[0, 0] == 1.0
 
 
@@ -356,8 +372,11 @@ def test_feature_vector_same_bytes_in_process_and_in_pool_worker():
     assert parallel_map(extract, jobs, 2) == here
 
 
-def _matrix_dft_rfft(signal, n=None):
-    """Reference real DFT by explicit cosine/sine matrices in float64, no FFT."""
+def _matrix_dft_rfft(signal, n=None, out=None):
+    """Reference real DFT by explicit cosine/sine matrices in float64, no FFT.
+
+    Returns a new array and leaves `out` alone: extraction reads the result.
+    """
     x = np.asarray(signal, dtype=np.float64)
     n = x.shape[-1] if n is None else n
     j = np.arange(x.shape[-1])
@@ -383,10 +402,11 @@ def test_feature_vectors_match_matrix_dft_reference(sample_id, monkeypatch):
     """Every kind stays within a stated tolerance of the same pipeline run on an exact DFT.
 
     Tolerances: 1e-12 of the vector's largest magnitude on the float64 mel
-    and MFCC dimensions, 2e-7 absolute on the chroma dimensions, which are
-    transformed in float32 and max-normalized per frame. The augmented chord
-    has near-tied spectral peaks, so a less accurate float32 transform moves
-    its chroma by far more than the tolerance.
+    and MFCC dimensions, 2e-7 absolute on the chroma dimensions, whose frames
+    and spectra are rounded to float32 and which are max-normalized per
+    frame. The augmented chord has near-tied spectral peaks, so a less
+    accurate float32 transform moves its chroma by far more than the
+    tolerance.
     """
     clip = render_by_id(sample_id)
     got = {kind: feature_vector(clip, kind) for kind in FEATURE_KINDS}
@@ -399,3 +419,40 @@ def test_feature_vectors_match_matrix_dft_reference(sample_id, monkeypatch):
             assert err[~f32].max() <= 1e-12 * np.abs(ref[~f32]).max(), kind
         if f32.any():
             assert err[f32].max() <= 2e-7, kind
+
+
+@pytest.mark.parametrize("n_frames", [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 169])
+def test_block_pass_matches_whole_matrix_reference(n_frames, rng):
+    """Every kind's float64 bits equal the whole-matrix pass's, whatever part of a block the clip fills."""
+    clip = rng.standard_normal(WINDOW + (n_frames - 1) * HOP) * 0.3
+    clip[: len(clip) // 2] += sine_clip(261.63, n=len(clip) // 2)  # a tone over the first half gives chroma clear peaks
+    for kind in FEATURE_KINDS:
+        got = frame_features(clip, kind)
+        want = reference_frame_features(clip, kind)
+        assert got.shape == want.shape == (n_frames, FEATURE_DIMS[kind] // 6)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), kind
+
+
+def test_result_does_not_share_the_workspace(rng):
+    first, second = rng.standard_normal((2, CLIP_SAMPLES)) * 0.3
+    for kind in FEATURE_KINDS:
+        got = frame_features(first, kind)
+        kept = got.copy()
+        frame_features(second, kind)
+        assert np.array_equal(got, kept), kind
+
+
+def test_warm_call_allocates_about_its_result(rng):
+    """A warm call transforms into its workspace: it allocates the stacked
+    result and the three parts stacked into it, about twice the result,
+    and no frame or spectrum matrix (the whole-matrix pass allocated 25 MB)."""
+    clip = rng.standard_normal(CLIP_SAMPLES) * 0.3
+    frame_features(clip, "aggregate")  # builds this thread's workspace
+    tracemalloc.start()
+    try:
+        out = frame_features(clip, "aggregate")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * out.nbytes

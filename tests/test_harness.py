@@ -299,6 +299,15 @@ def test_cli_record_without_label_field_names_id_and_field(tmp_path, capsys):
     assert "error: record 'b' has no chords label field 'quality'" in capsys.readouterr().err
 
 
+def test_cli_record_without_wav_path_names_manifest_and_id(tmp_path, capsys):
+    manifest = tmp_path / "chords" / "manifest.jsonl"
+    manifest.parent.mkdir()
+    manifest.write_text('{"id": "a", "quality": "major"}\n')
+    assert main(_chords_argv(tmp_path)["extract"]) == 1
+    assert f"error: {manifest}: record 'a' has no 'wav_path'" in capsys.readouterr().err
+    assert not (tmp_path / "x.emb").exists()
+
+
 @pytest.mark.parametrize("command", ["extract", "probe"])
 def test_cli_repeated_manifest_id_names_both_lines(chords_run, tmp_path, capsys, command):
     """A repeated id would put one clip, and its embedding row, in two splits."""
