@@ -279,13 +279,18 @@ def _click_midi(record: dict) -> smf.MidiSequence:
     return smf.MidiSequence(smf.PPQ, events)
 
 
-def render_sample(record: dict) -> np.ndarray:
-    """The 4-second audio clip for one record."""
+def render_sample(record: dict, midi: smf.MidiSequence | None = None) -> np.ndarray:
+    """The 4-second audio clip for one record.
+
+    A tonal record renders `midi`, which must be `build_midi(record)` and is
+    built here when not given; a rhythmic record renders its click pattern.
+    """
     if record["concept"] in RHYTHMIC_CONCEPTS:
         click = synth.CLICK_SETTINGS[record["click_id"]]
         clip = synth.render_clicks(click_pattern(record), click)
     else:
-        clip = synth.render(build_midi(record), synth.timbre_presets()[record["timbre_id"]])
+        midi = build_midi(record) if midi is None else midi
+        clip = synth.render(midi, synth.timbre_presets()[record["timbre_id"]])
     return synth.apply_reverb(clip, record["reverb_level"])
 
 
@@ -437,8 +442,9 @@ def generate_concept(
         synth.timbre_presets()  # built once here, then inherited by every forked worker
 
     def write_one(record):
-        write_atomic(concept_dir / record["midi_path"], smf.encode_smf(build_midi(record)))
-        write_atomic(concept_dir / record["wav_path"], synth.write_wav(render_sample(record)))
+        midi = build_midi(record)
+        write_atomic(concept_dir / record["midi_path"], smf.encode_smf(midi))
+        write_atomic(concept_dir / record["wav_path"], synth.write_wav(render_sample(record, midi)))
 
     parallel_map(write_one, records, workers)
     return records

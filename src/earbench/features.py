@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .parallel import blas_threads
+from .parallel import one_blas_thread
 from .synth import SAMPLE_RATE
 
 WINDOW = 2048
@@ -240,7 +240,7 @@ def aggregate(frames: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-@blas_threads(1)
+@one_blas_thread()
 def frame_features(clip: np.ndarray, kind: str) -> np.ndarray:
     """[n_frames x bins] frames of one feature kind from one analysis pass.
 

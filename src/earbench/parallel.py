@@ -9,6 +9,7 @@ contend for the same cores.
 import ctypes
 import glob
 import os
+import threading
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -37,26 +38,41 @@ def _set_blas_threads(n: int):
         set_threads(n)
 
 
+_blas_lock = threading.Lock()
+_blas_users = 0  # bodies inside `one_blas_thread`, in any thread of this process
+_blas_before = 0  # the count that the first of them found
+
+
 @contextmanager
-def blas_threads(n: int):
-    """Run the body on `n` OpenBLAS threads, then restore the count it had.
+def one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the count it had.
 
     A matmul's float64 bits can depend on how many threads share it, so
     feature extraction runs on one thread in every process: a pool worker,
-    a `--workers 1` parent or a test.
+    a `--workers 1` parent or a test. The count belongs to the process, so
+    bodies that overlap, in one thread or several, share it: the first to
+    enter saves the count and sets one thread, and the last to leave
+    restores the saved count.
     """
+    global _blas_users, _blas_before
     get_threads = openblas_function("get_num_threads")
     if get_threads is None:
         yield
         return
     get_threads.argtypes = []
     get_threads.restype = ctypes.c_int
-    before = get_threads()
-    _set_blas_threads(n)
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_before = get_threads()
+            _set_blas_threads(1)
+        _blas_users += 1
     try:
         yield
     finally:
-        _set_blas_threads(before)
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                _set_blas_threads(_blas_before)
 
 
 _FN = None  # the job function of this pool worker, set by _start_worker

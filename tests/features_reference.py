@@ -22,7 +22,7 @@ from earbench.features import (
     dct_ii_matrix,
     mel_filterbank,
 )
-from earbench.parallel import blas_threads
+from earbench.parallel import one_blas_thread
 
 
 def _chroma_from_frames(frames: np.ndarray) -> np.ndarray:
@@ -35,7 +35,7 @@ def _chroma_from_frames(frames: np.ndarray) -> np.ndarray:
     return np.divide(out, peak, out=np.zeros_like(out), where=peak > 0)
 
 
-@blas_threads(1)
+@one_blas_thread()
 def frame_features(clip: np.ndarray, kind: str) -> np.ndarray:
     """Whole-matrix `features.frame_features`: same kinds, frames and layout."""
     if kind not in FEATURE_DIMS:

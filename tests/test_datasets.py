@@ -317,6 +317,20 @@ def test_generate_concept_writes_layout(tmp_path):
         assert seq == build_midi(r)
 
 
+@pytest.mark.parametrize("concept", ["chords", "tempo"])
+def test_generate_builds_each_records_midi_once(tmp_path, monkeypatch, concept):
+    built = []
+    real_build = datasets.build_midi
+
+    def build_midi(record):
+        built.append(record["id"])
+        return real_build(record)
+
+    monkeypatch.setattr(datasets, "build_midi", build_midi)
+    records = generate_concept(concept, tmp_path, SEED, subsample=0.002, workers=1)
+    assert built == [r["id"] for r in records]
+
+
 @pytest.mark.parametrize("failing", ["render", "write"])
 def test_generate_leaves_no_partial_file(tmp_path, monkeypatch, failing):
     """A render that raises, or a WAV write cut off halfway, stops generate
@@ -325,11 +339,11 @@ def test_generate_leaves_no_partial_file(tmp_path, monkeypatch, failing):
     if failing == "render":
         real_render = datasets.render_sample
 
-        def render_sample(record):
+        def render_sample(record, *args):
             calls.append(record["id"])
             if len(calls) == 3:
                 raise RuntimeError("render failed")
-            return real_render(record)
+            return real_render(record, *args)
 
         monkeypatch.setattr(datasets, "render_sample", render_sample)
     else:

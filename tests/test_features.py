@@ -21,8 +21,9 @@ from earbench.features import (
     mel_filterbank,
     rfft,
 )
-from earbench.parallel import blas_threads, parallel_map
+from earbench.parallel import parallel_map
 from earbench.synth import CLIP_SAMPLES, SAMPLE_RATE
+from blas_count import caller_blas_threads
 from features_reference import frame_features as reference_frame_features
 
 
@@ -354,7 +355,7 @@ def test_feature_vector_bytes_pinned(sample_id):
     filterbank matmul gives other float64 bits on one thread than on two."""
     clip = render_by_id(sample_id)
     for threads in (1, 2):
-        with blas_threads(threads):
+        with caller_blas_threads(threads):
             got = {kind: hashlib.sha256(feature_vector(clip, kind).tobytes()).hexdigest() for kind in FEATURE_KINDS}
         assert got == PINNED_FEATURE_SHA256[sample_id], f"caller on {threads} BLAS threads"
 
@@ -367,7 +368,7 @@ def test_feature_vector_same_bytes_in_process_and_in_pool_worker():
         i, kind = job
         return feature_vector(clips[i], kind).tobytes()
 
-    with blas_threads(2):
+    with caller_blas_threads(2):
         here = [extract(job) for job in jobs]
     assert parallel_map(extract, jobs, 2) == here
 

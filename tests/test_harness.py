@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from earbench import report
+from earbench import probe, report
 from earbench.cli import main
 from earbench.embeddings import (
     CHECK_BLOCK_BYTES,
@@ -23,6 +23,7 @@ from earbench.embeddings import (
     write_embeddings,
 )
 from earbench.probe import ProbeResult, ProbeSpec, grid_specs
+from blas_count import blas_thread_count, caller_blas_threads
 
 
 def test_embedding_file_arithmetic():
@@ -381,18 +382,30 @@ def test_cli_report_without_results_is_runtime_error(tmp_path, capsys):
     assert rc == 1
 
 
-def test_cli_small_pipeline_round_trip(tmp_path, capsys):
+def test_cli_small_pipeline_round_trip(tmp_path, capsys, monkeypatch):
+    """Also: a `--workers 1` probe after an extraction in the same process
+    trains on the caller's BLAS thread count, not extraction's one thread."""
     data = tmp_path / "data"
     results = tmp_path / "results"
     results.mkdir()
     emb = tmp_path / "scales_chroma.emb"
-    assert main(["generate", "--concept", "scales", "--out", str(data), "--seed", "5",
-                 "--subsample", "0.01", "--workers", "1"]) == 0
-    assert main(["extract", "--concept", "scales", "--data", str(data), "--feature", "chroma",
-                 "--out", str(emb), "--workers", "1"]) == 0
-    assert main(["probe", "--concept", "scales", "--data", str(data), "--embeddings", str(emb),
-                 "--preset", "lm-default", "--seed", "5", "--out", str(results / "scales_chroma.csv"),
-                 "--name", "chroma", "--workers", "1"]) == 0
+    train_threads = []
+    real_train = probe.train
+
+    def train(*args):
+        train_threads.append(blas_thread_count())
+        return real_train(*args)
+
+    monkeypatch.setattr(probe, "train", train)
+    with caller_blas_threads(2):
+        assert main(["generate", "--concept", "scales", "--out", str(data), "--seed", "5",
+                     "--subsample", "0.01", "--workers", "1"]) == 0
+        assert main(["extract", "--concept", "scales", "--data", str(data), "--feature", "chroma",
+                     "--out", str(emb), "--workers", "1"]) == 0
+        assert main(["probe", "--concept", "scales", "--data", str(data), "--embeddings", str(emb),
+                     "--preset", "lm-default", "--seed", "5", "--out", str(results / "scales_chroma.csv"),
+                     "--name", "chroma", "--workers", "1"]) == 0
+    assert train_threads == [None if blas_thread_count() is None else 2]
     assert main(["report", "--results", str(results), "--out", str(tmp_path / "table.csv")]) == 0
     out = capsys.readouterr().out
     assert "scales: 161 samples" in out  # 7 modes x ceil(0.01 * 2208)
