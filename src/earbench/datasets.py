@@ -191,16 +191,31 @@ def build_records(concept: str, seed: int, fraction: float = 1.0) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # symbolic and audio realization
+#
+# Every record is written by one rule: its meter (`_meter`), then the note-on
+# and note-off of each (tick, notes, velocity) hit, then the end of the track.
+# A tonal record repeats its figure over eight 480-tick slots, each held for
+# GATE_TICKS; its track ends with the eighth slot. A rhythmic record strikes a
+# click at each exact time of its click pattern (the audio plays that time;
+# the MIDI file rounds it to the nearest tick and holds it CLICK_GATE_TICKS);
+# its track ends with the last note-off.
+
+
+def _meter(record: dict) -> tuple[int, int, int]:
+    """(bpm, beats per bar, beat unit): tempo clips are 4/4 at their own BPM,
+    time-signature clips are their meter at 120 BPM, tonal clips 4/4 at 120."""
+    if record["concept"] == "tempo":
+        return record["bpm"], 4, 4
+    if record["concept"] == "time_signatures":
+        return 120, record["numerator"], record["denominator"]
+    return 120, 4, 4
 
 
 def click_pattern(record: dict) -> list[tuple[float, bool]]:
-    """(time_s, is_downbeat) beat grid for a rhythmic record."""
-    if record["concept"] == "tempo":
-        beat_s = 60.0 / record["bpm"]
-        beats_per_bar = 4
-    else:
-        beat_s = (4.0 / record["denominator"]) * 0.5
-        beats_per_bar = record["numerator"]
+    """(time_s, is_downbeat) beat grid for a rhythmic record: a click on
+    every beat of its meter from its offset, a downbeat on each bar's first."""
+    bpm, beats_per_bar, beat_unit = _meter(record)
+    beat_s = 60.0 / bpm * (4.0 / beat_unit)
     pattern = []
     k = 0
     while True:
@@ -212,71 +227,46 @@ def click_pattern(record: dict) -> list[tuple[float, bool]]:
     return pattern
 
 
-def _tonal_note_groups(record: dict) -> list[tuple[int, ...]]:
-    """Eight quarter-note slots of simultaneous notes for a tonal record."""
-    concept = record["concept"]
-    if concept == "notes":
-        return [(record["midi_note"],)] * 8
-    if concept == "intervals":
-        figure = theory.interval_notes(record["root_note"], record["half_steps"], record["play_style"])
-        reps = 8 // len(figure)
-        return list(figure) * reps
-    if concept == "scales":
-        tones = theory.scale_notes(record["root_note"], record["mode"], record["play_style"])
-        return [(n,) for n in tones]
-    if concept == "chords":
-        triad = theory.chord_notes(record["root_note"], record["quality"], record["inversion"])
-        return [tuple(triad)] * 8
-    if concept == "progressions":
-        spec = theory.PROGRESSIONS[record["progression_index"]]
-        chords = theory.resolve_progression(record["key_root"], spec)
-        return [tuple(c) for c in chords] * 2
-    raise ValueError(f"not a tonal concept: {concept}")
+# Per tonal concept: the figure its eight slots repeat, as groups of notes
+# struck together
+_TONAL_FIGURES = {
+    "notes": lambda r: [(r["midi_note"],)],
+    "intervals": lambda r: theory.interval_notes(r["root_note"], r["half_steps"], r["play_style"]),
+    "scales": lambda r: [(n,) for n in theory.scale_notes(r["root_note"], r["mode"], r["play_style"])],
+    "chords": lambda r: [theory.chord_notes(r["root_note"], r["quality"], r["inversion"])],
+    "progressions": lambda r: theory.resolve_progression(r["key_root"], theory.PROGRESSIONS[r["progression_index"]]),
+}
 
 
 def build_midi(record: dict) -> smf.MidiSequence:
     """Symbolic form of one sample, rhythmic or tonal."""
-    concept = record["concept"]
-    if concept in RHYTHMIC_CONCEPTS:
-        return _click_midi(record)
-    events = [
-        smf.MidiEvent(0, smf.TempoMeta(smf.tempo_to_microseconds(120))),
-        smf.MidiEvent(0, smf.TimeSignatureMeta(4, 2)),
-        smf.MidiEvent(0, smf.ProgramChange(smf.MELODIC_CHANNEL, record["timbre_id"])),
+    bpm, beats_per_bar, beat_unit = _meter(record)
+    timed = [  # (absolute tick, event)
+        (0, smf.TempoMeta(smf.tempo_to_microseconds(bpm))),
+        (0, smf.TimeSignatureMeta(beats_per_bar, int(math.log2(beat_unit)))),
     ]
-    at_gap = 0
-    for group in _tonal_note_groups(record):
-        events.append(smf.MidiEvent(at_gap, smf.NoteOn(smf.MELODIC_CHANNEL, group[0], smf.NOTE_VELOCITY)))
-        for note in group[1:]:
-            events.append(smf.MidiEvent(0, smf.NoteOn(smf.MELODIC_CHANNEL, note, smf.NOTE_VELOCITY)))
-        events.append(smf.MidiEvent(GATE_TICKS, smf.NoteOff(smf.MELODIC_CHANNEL, group[0], 0)))
-        for note in group[1:]:
-            events.append(smf.MidiEvent(0, smf.NoteOff(smf.MELODIC_CHANNEL, note, 0)))
-        at_gap = QUARTER_TICKS - GATE_TICKS
-    events.append(smf.MidiEvent(at_gap, smf.EndOfTrack()))
-    return smf.MidiSequence(smf.PPQ, events)
-
-
-def _click_midi(record: dict) -> smf.MidiSequence:
-    concept = record["concept"]
-    bpm = record["bpm"] if concept == "tempo" else 120
-    num, den = (4, 4) if concept == "tempo" else (record["numerator"], record["denominator"])
-    down_note, up_note = CLICK_MIDI_NOTES[record["click_id"]]
-    ticks_per_second = smf.PPQ * bpm / 60.0
-    events = [
-        smf.MidiEvent(0, smf.TempoMeta(smf.tempo_to_microseconds(bpm))),
-        smf.MidiEvent(0, smf.TimeSignatureMeta(num, int(math.log2(den)))),
-    ]
-    cursor = 0
-    for time_s, is_downbeat in click_pattern(record):
-        tick = round(time_s * ticks_per_second)
-        note = down_note if is_downbeat else up_note
-        velocity = CLICK_DOWNBEAT_VELOCITY if is_downbeat else CLICK_UPBEAT_VELOCITY
-        events.append(smf.MidiEvent(tick - cursor, smf.NoteOn(smf.PERCUSSION_CHANNEL, note, velocity)))
-        events.append(smf.MidiEvent(CLICK_GATE_TICKS, smf.NoteOff(smf.PERCUSSION_CHANNEL, note, 0)))
-        cursor = tick + CLICK_GATE_TICKS
-    events.append(smf.MidiEvent(0, smf.EndOfTrack()))
-    return smf.MidiSequence(smf.PPQ, events)
+    if record["concept"] in RHYTHMIC_CONCEPTS:
+        channel, gate = smf.PERCUSSION_CHANNEL, CLICK_GATE_TICKS
+        down_note, up_note = CLICK_MIDI_NOTES[record["click_id"]]
+        ticks_per_second = smf.PPQ * bpm / 60.0
+        hits = [
+            (round(time_s * ticks_per_second), (down_note if down else up_note,),
+             CLICK_DOWNBEAT_VELOCITY if down else CLICK_UPBEAT_VELOCITY)
+            for time_s, down in click_pattern(record)
+        ]
+        end = hits[-1][0] + gate
+    else:
+        channel, gate = smf.MELODIC_CHANNEL, GATE_TICKS
+        timed.append((0, smf.ProgramChange(channel, record["timbre_id"])))
+        figure = _TONAL_FIGURES[record["concept"]](record)
+        hits = [(slot * QUARTER_TICKS, figure[slot % len(figure)], smf.NOTE_VELOCITY) for slot in range(8)]
+        end = hits[-1][0] + QUARTER_TICKS
+    for tick, notes, velocity in hits:
+        timed += [(tick, smf.NoteOn(channel, note, velocity)) for note in notes]
+        timed += [(tick + gate, smf.NoteOff(channel, note, 0)) for note in notes]
+    timed.append((end, smf.EndOfTrack()))
+    previous = [0] + [tick for tick, _ in timed]
+    return smf.MidiSequence(smf.PPQ, [smf.MidiEvent(tick - last, kind) for last, (tick, kind) in zip(previous, timed)])
 
 
 def render_sample(record: dict, midi: smf.MidiSequence | None = None) -> np.ndarray:

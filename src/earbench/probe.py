@@ -371,8 +371,9 @@ def train(
         order = rng.permutation(n)
         for batch_idx, lo in enumerate(range(0, n, spec.batch_size)):
             sel = order[lo : lo + spec.batch_size]
-            x_b = np.take(x_train, sel, axis=0, out=x_batch[: len(sel)])
-            y_b = np.take(y_train, sel, out=y_batch[: len(sel)])
+            # "clip" gathers straight into the buffer, "raise" through a hidden copy
+            x_b = np.take(x_train, sel, axis=0, out=x_batch[: len(sel)], mode="clip")
+            y_b = np.take(y_train, sel, out=y_batch[: len(sel)], mode="clip")
             loss, _ = batch_loss(spec, params, x_b, y_b, rng, buffers)  # gradients land in `adam_blocks`
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_idx}")

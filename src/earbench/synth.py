@@ -265,6 +265,8 @@ def apply_reverb(clip: np.ndarray, level: str) -> np.ndarray:
     """Mix in a fixed Schroeder reverb; "dry" returns the input bit-identically."""
     wet_mix = REVERB_LEVELS[level]
     if wet_mix == 0.0:
+        # returning `clip` itself made `generate` slower, not faster: one process
+        # rendering 100 chords clips took 44k page faults in place of 17k
         return clip.copy()
     rt60 = _REVERB_TIME_S[level]
     # three clip-long buffers serve every filter: a fresh array per step

@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from earbench import midi as smf
-from earbench.datasets import build_midi, build_records
+from earbench import midi as smf, synth, theory
+from earbench.datasets import CONCEPTS, NOTES_OCTAVES, RHYTHMIC_CONCEPTS, build_midi, build_records
 from earbench.midi import (
     EndOfTrack,
     MidiEvent,
@@ -174,6 +174,45 @@ MIDI_SHA256 = [
 def test_generated_midi_bytes_pinned(concept, sample_id, sha256):
     record = next(r for r in build_records(concept, 11) if r["id"] == sample_id)
     assert hashlib.sha256(encode_smf(build_midi(record))).hexdigest() == sha256
+
+
+# sha256 over the SMF bytes of every record in manifest order: the whole
+# seed-11 tempo and time_signatures corpora, and a 2% stratified seed-11
+# subsample of each tonal concept
+MIDI_CORPUS_SHA256 = {
+    "tempo": "2e29be9a1be7f6db8498b119ea262ab97934c922a66c3d91c2b4b8e0f97b9ba4",
+    "time_signatures": "ca93d29493517a9d074e127647c131a156b55a4ae0a759fcef2a4bebe8a091aa",
+    "notes": "8099196cbe7f29c680e45a8ef75496f0dc2669c9a6c0b83ed963893431ccc36c",
+    "intervals": "c3899f4141790b4cf4875de4381fba21b917ee9bce7de85e21d41e933299820f",
+    "scales": "2a617baf1e247a6e76acff386659eed749269d81f2d52c60fffd9baf95ee73d5",
+    "chords": "892eec3718ae31b7a02db1cd248be86ad8edb09644469e9fd254f89323333e7a",
+    "progressions": "ececfead2fb9901c796b00cb11ec7a056d359eabc8e199a20339c401e6776040",
+}
+
+# per concept, each record field whose every value the pinned records hold
+MIDI_CORPUS_COVERS = {
+    "tempo": {"bpm": theory.TEMPO_RANGE_BPM, "click_id": range(len(synth.CLICK_SETTINGS))},
+    "time_signatures": {
+        "time_signature": [f"{num}/{den}" for num, den in theory.TIME_SIGNATURES],
+        "click_id": range(len(synth.CLICK_SETTINGS)),
+    },
+    "notes": {"pitch_class": range(12), "octave": NOTES_OCTAVES},
+    "intervals": {"half_steps": range(1, 13), "play_style": theory.PLAY_STYLES_INTERVAL},
+    "scales": {"mode": theory.MODE_NAMES, "play_style": theory.PLAY_STYLES_SCALE},
+    "chords": {"quality": theory.CHORD_QUALITIES, "inversion": theory.INVERSIONS},
+    "progressions": {"progression_index": range(len(theory.PROGRESSIONS))},
+}
+
+
+@pytest.mark.parametrize("concept", CONCEPTS)
+def test_generated_midi_corpus_bytes_pinned(concept):
+    records = build_records(concept, 11, 1.0 if concept in RHYTHMIC_CONCEPTS else 0.02)
+    for field, values in MIDI_CORPUS_COVERS[concept].items():
+        assert {r[field] for r in records} == set(values), field
+    digest = hashlib.sha256()
+    for r in records:
+        digest.update(encode_smf(build_midi(r)))
+    assert digest.hexdigest() == MIDI_CORPUS_SHA256[concept]
 
 
 def test_smpte_division_rejected():

@@ -112,7 +112,7 @@ def test_train_determinism(rng):
 def test_training_holds_five_parameter_buffers(rng):
     """A 960-d MLP config with weight decay and dropout holds params, grad,
     Adam's m and v and the best checkpoint, plus its row-sized activations
-    (the minibatch twice: `np.take` buffers its output) and one block of
+    (the minibatch once: `np.take` gathers straight into it) and one block of
     scratch. Slack: half a parameter buffer (1 MB) for the shuffle, loss
     temporaries, results and any small numpy temporary. A whole-buffer Adam
     scratch, a decay temporary or gradients for the validation pass would
@@ -131,7 +131,7 @@ def test_training_holds_five_parameter_buffers(rng):
         tracemalloc.stop()
     hidden = probe.HIDDEN_UNITS
     params = d_in * hidden + hidden + hidden * n_classes + n_classes
-    rows = batch * (2 * d_in + 3 * hidden + n_classes) + n_val * (hidden + n_classes)
+    rows = batch * (d_in + 3 * hidden + n_classes) + n_val * (hidden + n_classes)
     assert peak <= 4 * (5 * params + rows + min(probe.BLOCK_ELEMENTS, params) + params // 2)
 
 
