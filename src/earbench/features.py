@@ -3,11 +3,11 @@
 `frame_features` computes every kind from one framing of the clip, and
 `feature_vector` pools its frames over time.
 
-Transforms come from numpy.fft behind the power-of-two `fft`/`rfft`
-wrappers; the DCT-II and the mel and chroma filterbanks are explicit
-matrices built here. Analysis parameters follow common 22 kHz conventions:
-2048-sample Hann window, 512 hop, 128 Slaney-style mel bands, 20 cepstral
-coefficients, 12 chroma bins folded over C1..C8.
+Transforms come from numpy.fft; the DCT-II and the mel and chroma
+filterbanks are explicit matrices built here. Analysis parameters follow
+common 22 kHz conventions: 2048-sample Hann window, 512 hop, 128
+Slaney-style mel bands, 20 cepstral coefficients, 12 chroma bins folded
+over C1..C8.
 
 Frames are a strided view of the clip, transformed `BLOCK_FRAMES` at a time
 into buffers that one workspace per thread keeps from call to call, so a
@@ -41,39 +41,14 @@ FEATURE_DIMS = {"mel": N_MELS * 6, "mfcc": N_MFCC * 6, "chroma": N_CHROMA * 6,
 FEATURE_KINDS = list(FEATURE_DIMS)
 
 
-def _fft_size(x: np.ndarray, n: int | None, smallest: int) -> int:
-    n = x.shape[-1] if n is None else n
-    if n < smallest or n & (n - 1):
-        raise ValueError(f"FFT size must be a power of two >= {smallest}, got {n}")
-    if x.shape[-1] > n:
-        raise ValueError(f"signal length {x.shape[-1]} exceeds FFT size {n}")
-    return n
-
-
 def fft(signal: np.ndarray, n: int | None = None) -> np.ndarray:
-    """FFT along the last axis, computed by numpy.fft.
-
-    `n` must be a power of two; shorter signals are zero-padded. Accepts a
-    batch of rows, transforming each independently. Single-precision input
-    gives complex64, anything else complex128.
-    """
-    x = np.asarray(signal)
-    n = _fft_size(x, n, 1)
-    ctype = np.complex64 if x.dtype in (np.float32, np.complex64) else np.complex128
-    return np.fft.fft(x, n).astype(ctype, copy=False)
+    """numpy.fft.fft; nothing here calls it, the benchmark's trace wraps this name."""
+    return np.fft.fft(signal, n)
 
 
 def rfft(signal: np.ndarray, n: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """FFT of real input along the last axis; the first n/2+1 bins.
-
-    Same size rules as `fft` (n >= 2); float32 input gives complex64,
-    anything else complex128. `out`, if given, receives the result and must
-    have its shape and dtype.
-    """
-    x = np.asarray(signal)
-    if x.dtype != np.float32:
-        x = x.astype(np.float64, copy=False)
-    return np.fft.rfft(x, _fft_size(x, n, 2), out=out)
+    """numpy.fft.rfft, called through this module so that tests and traces can wrap it."""
+    return np.fft.rfft(signal, n, out=out)
 
 
 @lru_cache(maxsize=1)
@@ -275,9 +250,9 @@ def frame_features(clip: np.ndarray, kind: str) -> np.ndarray:
         return _normalized_chroma(ws.peaks)
     log_mel = ws.power @ mel_filterbank().T
     np.log1p(log_mel, out=log_mel)
-    mfcc = log_mel @ dct_ii_matrix()[:N_MFCC].T
     if kind == "mel":
         return log_mel
+    mfcc = log_mel @ dct_ii_matrix()[:N_MFCC].T
     if kind == "mfcc":
         return mfcc
     return np.concatenate([log_mel, _normalized_chroma(ws.peaks), mfcc], axis=1)

@@ -89,14 +89,16 @@ def _run(job):
 
 
 def parallel_map(fn, jobs, workers: int) -> list:
-    """[fn(job) for job in jobs] in job order, over `workers` forked processes.
+    """[fn(job) for job in jobs] in job order, over up to `workers` forked processes.
 
-    `fn` reaches the workers as the pool initializer's argument, which fork
-    inherits, so it is never pickled and may be a closure over large arrays;
-    only the jobs and results are. With `workers` <= 1 the jobs run here,
-    with this process's BLAS threads (feature extraction sets its own).
-    Jobs go out one at a time, so uneven costs balance.
+    `jobs` is a sized sequence. `fn` reaches the workers as the pool
+    initializer's argument, which fork inherits, so it is never pickled and
+    may be a closure over large arrays; only the jobs and results are. The
+    pool has at most one worker per job, and with one or none the jobs run
+    here, with this process's BLAS threads (feature extraction sets its
+    own). Jobs go out one at a time, so uneven costs balance.
     """
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
     import multiprocessing  # here, so that runs without a pool do not load it

@@ -8,21 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 PITCH_CLASS_NAMES = ["C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B"]
 
-# Rotations of the Ionian step pattern, in the canonical modal order.
-MODE_STEPS = {
-    "ionian": [2, 2, 1, 2, 2, 2, 1],
-    "dorian": [2, 1, 2, 2, 2, 1, 2],
-    "phrygian": [1, 2, 2, 2, 1, 2, 2],
-    "lydian": [2, 2, 2, 1, 2, 2, 1],
-    "mixolydian": [2, 2, 1, 2, 2, 1, 2],
-    "aeolian": [2, 1, 2, 2, 1, 2, 2],
-    "locrian": [1, 2, 2, 1, 2, 2, 2],
-}
+MODE_NAMES = ["ionian", "dorian", "phrygian", "lydian", "mixolydian", "aeolian", "locrian"]
 
-MODE_NAMES = list(MODE_STEPS)
+_IONIAN_STEPS = [2, 2, 1, 2, 2, 2, 1]
+
+# Mode i starts the Ionian step pattern on scale degree i + 1.
+MODE_STEPS = {mode: _IONIAN_STEPS[i:] + _IONIAN_STEPS[:i] for i, mode in enumerate(MODE_NAMES)}
 
 CHORD_STACKS = {
     "major": (0, 4, 7),
@@ -39,8 +34,8 @@ PLAY_STYLES_INTERVAL = ["unison", "up", "down"]
 PLAY_STYLES_SCALE = ["ascending", "descending"]
 
 # Scale-degree offsets (semitones above the key root) for chord roots.
-MAJOR_DEGREE_OFFSETS = [0, 2, 4, 5, 7, 9, 11]
-NATURAL_MINOR_DEGREE_OFFSETS = [0, 2, 3, 5, 7, 8, 10]
+MAJOR_DEGREE_OFFSETS = list(accumulate(MODE_STEPS["ionian"][:-1], initial=0))
+NATURAL_MINOR_DEGREE_OFFSETS = list(accumulate(MODE_STEPS["aeolian"][:-1], initial=0))
 
 TIME_SIGNATURES = [(2, 2), (3, 4), (4, 4), (3, 8), (4, 8), (6, 8), (9, 8), (12, 8)]
 

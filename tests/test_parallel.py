@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -24,6 +25,11 @@ def test_parallel_map_runs_a_closure_over_local_data():
         return float(table[i].sum())
 
     assert parallel_map(row_sum, range(4), 2) == [3.0, 12.0, 21.0, 30.0]
+
+
+def test_parallel_map_runs_one_or_no_job_in_the_caller():
+    assert parallel_map(lambda _: os.getpid(), [0], 4) == [os.getpid()]
+    assert parallel_map(lambda _: os.getpid(), [], 4) == []
 
 
 def test_pool_workers_run_one_blas_thread():
