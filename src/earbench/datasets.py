@@ -359,13 +359,17 @@ def subsample_ids(labelled: list[tuple[str, object]], concept: str, fraction: fl
 # materialization
 
 
-def write_atomic(path, data: bytes):
-    """Write `data` to a temporary name beside `path`, then rename it into
-    place: an interrupted write leaves no partial file under `path`."""
+def write_atomic(path, *chunks):
+    """Write the bytes-like `chunks`, in order, to a temporary name beside
+    `path`, then rename it into place: an interrupted write leaves no
+    partial file under `path`. Each chunk goes to the file as it is, so a
+    large array can be passed without a bytes copy."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)

@@ -30,8 +30,11 @@ class EmbeddingFormatError(ValueError):
     pass
 
 
-def write_embeddings(ids: list[str], matrix: np.ndarray) -> bytes:
-    matrix = np.asarray(matrix, dtype="<f4")
+def _header(ids: list[str], matrix: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The SYNEMB1 bytes before the payload (magic, dim, count, id table), and
+    the payload: `matrix` as contiguous little-endian float32, not copied when
+    it already is."""
+    matrix = np.ascontiguousarray(matrix, dtype="<f4")
     if matrix.ndim != 2 or matrix.shape[0] != len(ids):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(ids)} ids")
     if matrix.shape[1] == 0:
@@ -43,8 +46,11 @@ def write_embeddings(ids: list[str], matrix: np.ndarray) -> bytes:
         encoded = sid.encode("utf-8")
         parts.append(struct.pack("<I", len(encoded)))
         parts.append(encoded)
-    parts.append(matrix.tobytes())
-    return b"".join(parts)
+    return b"".join(parts), matrix
+
+
+def write_embeddings(ids: list[str], matrix: np.ndarray) -> bytes:
+    return b"".join(_header(ids, matrix))
 
 
 def read_embeddings(data: bytes) -> tuple[list[str], np.ndarray]:
@@ -87,7 +93,9 @@ def read_embeddings(data: bytes) -> tuple[list[str], np.ndarray]:
 
 
 def write_embeddings_file(path, ids, matrix):
-    write_atomic(path, write_embeddings(ids, matrix))
+    """The bytes of `write_embeddings`, with the matrix's own buffer written
+    straight after the header: no copy of the payload."""
+    write_atomic(path, *_header(ids, matrix))
 
 
 def read_embeddings_file(path) -> tuple[list[str], np.ndarray]:

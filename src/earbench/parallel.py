@@ -3,7 +3,9 @@
 Workers are forked, so they inherit modules, data and the job function
 itself without pickling. Each runs numpy's bundled OpenBLAS on one thread:
 the pool already keeps every core busy, and more BLAS threads would only
-contend for the same cores.
+contend for the same cores. Outside a pool, feature extraction and narrow
+probe training (`probe.NARROW_MATMUL`) switch to one thread for their own
+duration through `one_blas_thread`; a wider probe keeps the caller's count.
 """
 
 import ctypes
@@ -95,8 +97,9 @@ def parallel_map(fn, jobs, workers: int) -> list:
     initializer's argument, which fork inherits, so it is never pickled and
     may be a closure over large arrays; only the jobs and results are. The
     pool has at most one worker per job, and with one or none the jobs run
-    here, with this process's BLAS threads (feature extraction sets its
-    own). Jobs go out one at a time, so uneven costs balance.
+    here, on this process's BLAS thread count, which feature extraction and
+    narrow probe training lower to one while they run. Jobs go out one at a
+    time, so uneven costs balance.
     """
     workers = min(workers, len(jobs))
     if workers <= 1:

@@ -11,18 +11,23 @@ parameter-sized temporary; each element sees the same operations in the same
 order as a whole-buffer pass, so the bits do not depend on the block size.
 `batch_loss` follows the dtype of its inputs, so the gradient checks run it
 in float64. Every run is a deterministic function of (spec, data, seed),
-including batch order and dropout masks.
+including batch order and dropout masks. An MLP's bits also do not depend
+on the caller's BLAS thread count: a narrow one trains on one thread, and
+wider ones gave the same bytes on one thread and on two. The linear model's
+can (at 10,000 inputs and 8 classes, say), so it keeps the caller's count,
+and its pins hold on two threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .parallel import parallel_map
+from .parallel import one_blas_thread, parallel_map
 from .seeds import derive_seed
 
 NORMALIZE_EPS = 1e-8
@@ -37,6 +42,14 @@ HIDDEN_UNITS = 512
 # (MFCC) MLP of up to 4 outputs in one block, the whole-buffer pass, where two
 # blocks of the 72-d one cost 10-15 us more per step.
 BLOCK_ELEMENTS = 65_536
+# Multiply-adds in an MLP minibatch's x @ W1 (rows x d_in x 512) below which
+# `train` runs on one BLAS thread whatever the caller's count: 64 rows x 512
+# inputs. In sweeps on 2 cores (BENCH_19.json), one thread was as fast as two
+# or faster up to 1.5 x 2^23 (batch 64 at 384-d, batch 256 at 96-d), the two
+# were within noise at 1.75 x 2^23, and two were faster from 2^24 up (batch
+# 64 at 512-d: median 2.12 against 2.41 ms per step). Below it, a second
+# thread mostly spins and doubles the CPU time.
+NARROW_MATMUL = 1 << 24
 
 GRID_NORMALIZE = [True, False]
 GRID_MODEL = ["linear", "mlp"]
@@ -328,9 +341,12 @@ def train(
 ) -> tuple[TrainedProbe, ProbeResult]:
     """Minibatch Adam with early stopping on the validation metric, in float32 whatever the input dtype.
 
-    Returns the probe restored to its best-validation checkpoint. Raises
-    TrainingError on a non-finite training loss, and when no epoch gives a
-    finite validation metric (e.g. R^2 against constant validation targets).
+    Returns the probe restored to its best-validation checkpoint. An MLP
+    whose minibatch matmul x @ W1 is below NARROW_MATMUL multiply-adds runs
+    its steps and validation passes on one BLAS thread; a wider MLP and the
+    linear model run on the caller's count. Raises TrainingError on a
+    non-finite training loss, and when no epoch gives a finite validation
+    metric (e.g. R^2 against constant validation targets).
     """
     x_train, y_train = train_xy
     x_val, y_val = val_xy
@@ -366,48 +382,50 @@ def train(
     stale = 0
     epochs_run = 0
 
-    for epoch in range(max_epochs):
-        epochs_run = epoch + 1
-        order = rng.permutation(n)
-        for batch_idx, lo in enumerate(range(0, n, spec.batch_size)):
-            sel = order[lo : lo + spec.batch_size]
-            # "clip" gathers straight into the buffer, "raise" through a hidden copy
-            x_b = np.take(x_train, sel, axis=0, out=x_batch[: len(sel)], mode="clip")
-            y_b = np.take(y_train, sel, out=y_batch[: len(sel)], mode="clip")
-            loss, _ = batch_loss(spec, params, x_b, y_b, rng, buffers)  # gradients land in `adam_blocks`
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_idx}")
-            step += 1
-            # Adam over the flat buffers, one block at a time, with the bias
-            # corrections folded into one step size and eps:
-            # lr * m_hat / (sqrt(v_hat) + eps) equals step_size * m / (sqrt(v) + eps_t).
-            root = math.sqrt(1.0 - ADAM_BETA2**step)
-            step_size = spec.learning_rate * root / (1.0 - ADAM_BETA1**step)
-            eps_t = ADAM_EPS * root
-            for p, g, m, v, scratch in adam_blocks:
-                m *= ADAM_BETA1
-                np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
-                m += scratch
-                v *= ADAM_BETA2
-                np.multiply(g, g, out=scratch)
-                scratch *= 1.0 - ADAM_BETA2
-                v += scratch
-                np.sqrt(v, out=scratch)
-                scratch += eps_t
-                np.divide(m, scratch, out=scratch)
-                scratch *= step_size
-                p -= scratch
+    narrow = spec.model == "mlp" and rows * params["W1"].size < NARROW_MATMUL
+    with one_blas_thread() if narrow else nullcontext():
+        for epoch in range(max_epochs):
+            epochs_run = epoch + 1
+            order = rng.permutation(n)
+            for batch_idx, lo in enumerate(range(0, n, spec.batch_size)):
+                sel = order[lo : lo + spec.batch_size]
+                # "clip" gathers straight into the buffer, "raise" through a hidden copy
+                x_b = np.take(x_train, sel, axis=0, out=x_batch[: len(sel)], mode="clip")
+                y_b = np.take(y_train, sel, out=y_batch[: len(sel)], mode="clip")
+                loss, _ = batch_loss(spec, params, x_b, y_b, rng, buffers)  # gradients land in `adam_blocks`
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_idx}")
+                step += 1
+                # Adam over the flat buffers, one block at a time, with the bias
+                # corrections folded into one step size and eps:
+                # lr * m_hat / (sqrt(v_hat) + eps) equals step_size * m / (sqrt(v) + eps_t).
+                root = math.sqrt(1.0 - ADAM_BETA2**step)
+                step_size = spec.learning_rate * root / (1.0 - ADAM_BETA1**step)
+                eps_t = ADAM_EPS * root
+                for p, g, m, v, scratch in adam_blocks:
+                    m *= ADAM_BETA1
+                    np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+                    m += scratch
+                    v *= ADAM_BETA2
+                    np.multiply(g, g, out=scratch)
+                    scratch *= 1.0 - ADAM_BETA2
+                    v += scratch
+                    np.sqrt(v, out=scratch)
+                    scratch += eps_t
+                    np.divide(m, scratch, out=scratch)
+                    scratch *= step_size
+                    p -= scratch
 
-        val_metric = _score(spec.task, _forward(spec, params, x_val, val_activations), y_val)
-        if val_metric > best_metric:
-            best_metric = val_metric
-            best_epoch = epoch
-            np.copyto(best, flat)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
+            val_metric = _score(spec.task, _forward(spec, params, x_val, val_activations), y_val)
+            if val_metric > best_metric:
+                best_metric = val_metric
+                best_epoch = epoch
+                np.copyto(best, flat)
+                stale = 0
+            else:
+                stale += 1
+                if stale >= patience:
+                    break
 
     if best_epoch < 0:
         raise TrainingError(f"no finite validation metric in {epochs_run} epochs")

@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import math
 from collections import Counter
 from pathlib import Path
@@ -347,17 +349,33 @@ def test_generate_leaves_no_partial_file(tmp_path, monkeypatch, failing):
 
         monkeypatch.setattr(datasets, "render_sample", render_sample)
     else:
-        real_write = Path.write_bytes
+        real_open = io.open
 
-        def write_bytes(path, data):
-            if ".wav" in path.name:
-                calls.append(path.name)
+        class CutOff:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(memoryview(data)[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        def cutting_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and ".wav" in Path(file).name:
+                calls.append(Path(file).name)
                 if len(calls) == 3:
-                    real_write(path, data[: len(data) // 2])
-                    raise OSError(28, "No space left on device")
-            return real_write(path, data)
+                    return CutOff(fh)
+            return fh
 
-        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        # every way of opening a file for writing: Path.write_bytes, open() and io.open()
+        monkeypatch.setattr(io, "open", cutting_open)
+        monkeypatch.setattr(builtins, "open", cutting_open)
     with pytest.raises((RuntimeError, OSError)):
         generate_concept("chords", tmp_path, SEED, subsample=0.002, workers=1)
     concept_dir = tmp_path / "chords"

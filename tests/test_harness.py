@@ -5,6 +5,8 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -21,6 +23,7 @@ from earbench.embeddings import (
     ingest_embeddings,
     read_embeddings,
     write_embeddings,
+    write_embeddings_file,
 )
 from earbench.probe import ProbeResult, ProbeSpec, grid_specs
 from blas_count import blas_thread_count, caller_blas_threads
@@ -40,6 +43,18 @@ def test_embedding_round_trip(rng):
     got_ids, got = read_embeddings(write_embeddings(ids, matrix))
     assert got_ids == ids
     assert np.array_equal(got, matrix)
+
+
+@pytest.mark.parametrize("layout", ["float32", "transposed", "float64"])
+def test_embedding_file_holds_write_embeddings_bytes(tmp_path, rng, layout):
+    ids = [f"s{i:03d}" for i in range(6)]
+    matrix = {
+        "float32": rng.standard_normal((6, 5)).astype(np.float32),
+        "transposed": rng.standard_normal((5, 6)).astype(np.float32).T,
+        "float64": rng.standard_normal((6, 5)),
+    }[layout]
+    write_embeddings_file(tmp_path / "x.emb", ids, matrix)
+    assert (tmp_path / "x.emb").read_bytes() == write_embeddings(ids, matrix)
 
 
 def test_embedding_bad_magic():
@@ -146,6 +161,36 @@ def test_duplicate_id_among_full_corpus_is_fast():
     with pytest.raises(EmbeddingFormatError, match="interval_00007"):
         read_embeddings(corrupted)
     assert time.perf_counter() - start < 2.0
+
+
+# Run in a fresh process, so that its peak RSS counts only this write.
+WRITE_PEAK_SCRIPT = """
+import resource, sys
+import numpy as np
+from earbench.embeddings import write_embeddings_file
+ids = [f"interval_{i:05d}" for i in range(int(sys.argv[2]))]
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+matrix = np.full((len(ids), 960), 0.5, np.float32)
+write_embeddings_file(sys.argv[1], ids, matrix)
+print(base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, matrix.nbytes)
+"""
+
+
+def test_full_corpus_embedding_write_adds_no_copy_of_the_matrix(tmp_path):
+    """At the intervals aggregate shape (146 MiB of float32), the write adds the
+    matrix itself and the id table to the peak, not a bytes payload and its join."""
+    out = tmp_path / "intervals_aggregate.emb"
+    src = str(Path(probe.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", WRITE_PEAK_SCRIPT, str(out), str(FULL_CORPUS_IDS)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    base_kib, peak_kib, nbytes = map(int, proc.stdout.split())
+    assert (peak_kib - base_kib) * 1024 <= 1.3 * nbytes
+    ids_bytes = sum(4 + len(f"interval_{i:05d}") for i in range(FULL_CORPUS_IDS))
+    assert out.stat().st_size == len(MAGIC) + 8 + ids_bytes + nbytes
 
 
 def test_ingest_reports_mismatched_ids(rng):
@@ -383,8 +428,9 @@ def test_cli_report_without_results_is_runtime_error(tmp_path, capsys):
 
 
 def test_cli_small_pipeline_round_trip(tmp_path, capsys, monkeypatch):
-    """Also: a `--workers 1` probe after an extraction in the same process
-    trains on the caller's BLAS thread count, not extraction's one thread."""
+    """Also: an extraction hands the caller's BLAS thread count back before
+    a `--workers 1` probe in the same process starts, so `probe.train` is
+    entered on the caller's count, not on extraction's one thread."""
     data = tmp_path / "data"
     results = tmp_path / "results"
     results.mkdir()

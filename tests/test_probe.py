@@ -20,6 +20,7 @@ from earbench.probe import (
     select_best,
     train,
 )
+from blas_count import blas_thread_count, caller_blas_threads
 from probe_gradients import GradientCheckError, gradient_check, reference_train
 
 
@@ -371,7 +372,51 @@ def test_pinned_d_in_cover_the_block_cases():
 
 @pytest.mark.parametrize("model,task,d_in", [(*key, d_in) for key, d_ins in PIN_D_IN.items() for d_in in d_ins])
 def test_training_bytes_pinned(model, task, d_in):
-    assert _train_pins(model, task, d_in) == TRAIN_PINS[model, task, d_in]
+    # An MLP's bytes do not depend on the caller's BLAS threads. The linear
+    # model's do at some widths (10,000 and 66,000 here): its pins were taken on two.
+    for threads in (1, 2) if model == "mlp" else (2,):
+        with caller_blas_threads(threads):
+            assert _train_pins(model, task, d_in) == TRAIN_PINS[model, task, d_in], threads
+
+
+def test_wide_mlp_training_bytes_do_not_depend_on_caller_threads():
+    # above NARROW_MATMUL, so each count trains on its own number of threads;
+    # grid_search's retrained winner relies on this to match its pool result
+    assert 64 * 1024 * probe.HIDDEN_UNITS >= probe.NARROW_MATMUL
+    spec = ProbeSpec(False, "mlp", 64, 1e-3, 0.5, 1e-3, "classification", 4)
+    rng = np.random.default_rng(1024)
+    x = rng.standard_normal((256, 1024), dtype=np.float32)
+    y = rng.integers(0, 4, 256)
+    digests = []
+    for threads in (1, 2):
+        with caller_blas_threads(threads):
+            trained, _ = train(spec, (x[:192], y[:192]), (x[192:], y[192:]), seed=3, max_epochs=2)
+        digests.append(hashlib.sha256(b"".join(p.tobytes() for p in trained.params.values())).hexdigest())
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("model,d_in,threads", [("mlp", 511, 1), ("mlp", 512, 2), ("linear", 8, 2)])
+def test_train_steps_on_one_blas_thread_only_when_narrow(monkeypatch, model, d_in, threads):
+    if blas_thread_count() is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    # 64 x 512 x 512 is NARROW_MATMUL: the MLP at 511 inputs is narrow, at 512 wide
+    assert 64 * 512 * probe.HIDDEN_UNITS == probe.NARROW_MATMUL
+    seen = []
+    real_batch_loss = probe.batch_loss
+
+    def batch_loss(*args):
+        seen.append(blas_thread_count())
+        return real_batch_loss(*args)
+
+    monkeypatch.setattr(probe, "batch_loss", batch_loss)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((128, d_in), dtype=np.float32)
+    y = rng.integers(0, 4, 128)
+    spec = ProbeSpec(False, model, 64, 1e-3, 0.0, 0.0, "classification", 4)
+    with caller_blas_threads(2):
+        train(spec, (x, y), (x[:8], y[:8]), seed=0, max_epochs=2)
+        assert blas_thread_count() == 2
+    assert seen == [threads] * 4  # two epochs of two steps
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
