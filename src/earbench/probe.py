@@ -46,9 +46,10 @@ BLOCK_ELEMENTS = 65_536
 # `train` runs on one BLAS thread whatever the caller's count: 64 rows x 512
 # inputs. In sweeps on 2 cores (BENCH_19.json), one thread was as fast as two
 # or faster up to 1.5 x 2^23 (batch 64 at 384-d, batch 256 at 96-d), the two
-# were within noise at 1.75 x 2^23, and two were faster from 2^24 up (batch
-# 64 at 512-d: median 2.12 against 2.41 ms per step). Below it, a second
-# thread mostly spins and doubles the CPU time.
+# were within noise at 1.75 x 2^23, two were as fast or faster at 2^24
+# (medians 2.03 against 2.05 ms per step at 512-d, 2.16 against 2.43 ms at
+# batch 256 and 128-d), and faster above (960-d: 2.68 against 3.24 ms).
+# Below it, a second thread mostly spins and doubles the CPU time.
 NARROW_MATMUL = 1 << 24
 
 GRID_NORMALIZE = [True, False]
